@@ -13,12 +13,11 @@ facet slopes of complement components come out at nearly machine precision.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kasteleyn import BivariatePolynomial, boundary_points
+from .kasteleyn import BivariatePolynomial, BoundaryPoints, boundary_points
 from .numerics import integrate_periodic_kinked, polyroots_batch
 
 __all__ = [
@@ -30,6 +29,7 @@ __all__ = [
     "HarnackCertificate",
     "auto_window",
     "amoeba_membership",
+    "sample_interior",
     "rasterize_amoeba",
     "amoeba_area",
     "ronkin",
@@ -120,21 +120,44 @@ def auto_window(poly: BivariatePolynomial, pad: float = 2.0) -> tuple[float, flo
     return (lo, hi, lo, hi)
 
 
+def _sweep_angles(n_phi: int) -> np.ndarray:
+    """The phi-sweep grid: n_phi equally spaced angles in [0, 2pi)."""
+    # irrational offset keeps samples off symmetry axes
+    return 2.0 * np.pi * (np.arange(n_phi) + 0.382) / n_phi
+
+
+def _root_logmods(rows: np.ndarray) -> np.ndarray:
+    """log|root| for each coefficient row, shape (rows, degree); _NEG_INF for a zero root."""
+    mods = np.abs(polyroots_batch(rows))
+    return np.where(mods > 0, np.log(np.where(mods > 0, mods, 1.0)), _NEG_INF)
+
+
 def _w_logmods(poly: BivariatePolynomial, x: float, phis: np.ndarray) -> np.ndarray:
     """log|w_r| for the roots of w -> P(e^{x+i phi}, w), shape (len(phis), d)."""
-    z = np.exp(x + 1j * phis)
-    rows = poly.w_coefficients(z)
-    rts = polyroots_batch(rows)
-    mods = np.abs(rts)
-    return np.where(mods > 0, np.log(np.where(mods > 0, mods, 1.0)), _NEG_INF)
+    return _root_logmods(poly.w_coefficients(np.exp(x + 1j * phis)))
 
 
-def _z_logmods(poly: BivariatePolynomial, y: float, psis: np.ndarray) -> np.ndarray:
-    w = np.exp(y + 1j * psis)
-    rows = poly.z_coefficients(w)
-    rts = polyroots_batch(rows)
-    mods = np.abs(rts)
-    return np.where(mods > 0, np.log(np.where(mods > 0, mods, 1.0)), _NEG_INF)
+def _dips(poly: BivariatePolynomial, x: float, y: float, phis: np.ndarray, gap: np.ndarray,
+          cap: float, points: int, zooms: int):
+    """Refined local minima of gap(phi) = min_r |log|w_r| - y| along the sweep.
+
+    ``gap`` holds the samples on the sweep grid ``phis``. Each sampled local
+    minimum below ``cap`` is zoomed ``zooms`` times: a ``points``-point grid
+    over one sample step either side, then over a quarter of the previous
+    span around its best point. Yields (phi, gap) at the last best point,
+    lazily, so a caller can stop at the first dip it accepts.
+    """
+    is_min = (gap <= np.roll(gap, 1)) & (gap <= np.roll(gap, -1)) & (gap < cap)
+    step = 2.0 * np.pi / phis.size
+    for idx in np.nonzero(is_min)[0]:
+        lo, hi = phis[idx] - step, phis[idx] + step
+        for _ in range(zooms):
+            grid = np.linspace(lo, hi, points)
+            vals = np.min(np.abs(_w_logmods(poly, x, np.mod(grid, 2.0 * np.pi)) - y), axis=1)
+            k = int(np.argmin(vals))
+            width = (hi - lo) / 8.0
+            lo, hi = grid[k] - width, grid[k] + width
+        yield float(np.mod(grid[k], 2.0 * np.pi)), vals[k]
 
 
 def _crossing_angles(logmods_fn, level: float, n_phi: int = 256, refine: int = 50):
@@ -144,8 +167,7 @@ def _crossing_angles(logmods_fn, level: float, n_phi: int = 256, refine: int = 5
     root count on the sampled grid, and the signed jump at each crossing.
     Crossings are refined by vectorized bisection on the count function.
     """
-    # irrational offset keeps samples off symmetry axes
-    phis = 2.0 * np.pi * (np.arange(n_phi) + 0.382) / n_phi
+    phis = _sweep_angles(n_phi)
     counts = (logmods_fn(phis) < level).sum(axis=1)
     diff = np.diff(np.concatenate([counts, counts[:1]]))
     idx = np.nonzero(diff)[0]
@@ -182,27 +204,45 @@ def amoeba_membership(
     local minima of the modulus distance are refined and compared to
     ``dip_tol``.
     """
-    phis = 2.0 * np.pi * (np.arange(n_phi) + 0.382) / n_phi
+    phis = _sweep_angles(n_phi)
     logs = _w_logmods(poly, x, phis)
     counts = (logs < y).sum(axis=1)
     if counts.min() != counts.max():
         return True
-    dist = np.min(np.abs(logs - y), axis=1)
-    if dist.min() >= 0.05:
-        return False
-    is_min = (dist <= np.roll(dist, 1)) & (dist <= np.roll(dist, -1)) & (dist < 0.05)
-    step = 2.0 * np.pi / n_phi
-    for idx in np.nonzero(is_min)[0]:
-        lo, hi = phis[idx] - step, phis[idx] + step
-        for _ in range(8):
-            grid = np.linspace(lo, hi, 17)
-            vals = np.min(np.abs(_w_logmods(poly, x, np.mod(grid, 2.0 * np.pi)) - y), axis=1)
-            k = int(np.argmin(vals))
-            width = (hi - lo) / 8.0
-            lo, hi = grid[k] - width, grid[k] + width
-        if vals[k] < dip_tol:
-            return True
-    return False
+    gap = np.min(np.abs(logs - y), axis=1)
+    dips = _dips(poly, x, y, phis, gap, cap=0.05, points=17, zooms=8)
+    return any(dip < dip_tol for _, dip in dips)
+
+
+def sample_interior(
+    poly: BivariatePolynomial,
+    count: int,
+    rng: np.random.Generator,
+    margin: float = 0.12,
+) -> list[tuple[float, float]]:
+    """Random amoeba points with a clear margin to the boundary on all sides.
+
+    Points are drawn uniformly from ``auto_window(poly, pad=0.5)`` and kept
+    when the point and its four axis-shifted copies at distance ``margin``
+    are all amoeba members, so they stay clear of the boundary where the
+    Ronkin function loses smoothness. Raises RuntimeError after 4000 draws
+    per requested point.
+    """
+    x0, x1, y0, y1 = auto_window(poly, pad=0.5)
+    points = []
+    attempts = 0
+    while len(points) < count:
+        attempts += 1
+        if attempts > 4000 * count:
+            raise RuntimeError("no convergence: interior point sampling stalled")
+        x = rng.uniform(x0, x1)
+        y = rng.uniform(y0, y1)
+        if all(
+            amoeba_membership(poly, x + dx, y + dy)
+            for dx, dy in ((0, 0), (margin, 0), (-margin, 0), (0, margin), (0, -margin))
+        ):
+            points.append((x, y))
+    return points
 
 
 def _frame_consistent(member: np.ndarray, grid_window, nx, ny, poly) -> bool:
@@ -236,7 +276,6 @@ def rasterize_amoeba(
     nx: int = 600,
     ny: int = 600,
     n_phi: int = 160,
-    threads: int = 1,
 ) -> AmoebaGrid:
     """Pixel raster of amoeba membership.
 
@@ -258,27 +297,20 @@ def rasterize_amoeba(
     # narrow dip (real-locus tangency or a sub-sample crossing pair) and get
     # the refined point query instead of the coarse verdict
     suspect = max(1.5 * py, 4e-3)
-    phis = 2.0 * np.pi * (np.arange(n_phi) + 0.382) / n_phi
-
-    def column(ix: int) -> np.ndarray:
-        logs = _w_logmods(poly, float(xc[ix]), phis)
+    phis = _sweep_angles(n_phi)
+    member = np.empty((ny, nx), dtype=bool)
+    for ix in range(nx):
+        x = float(xc[ix])
+        logs = _w_logmods(poly, x, phis)
         counts = (logs[:, :, None] < yc[None, None, :]).sum(axis=1)
         varying = counts.max(axis=0) != counts.min(axis=0)
         flat = np.sort(logs.reshape(-1))
         pos = np.searchsorted(flat, yc)
         left = np.where(pos > 0, yc - flat[np.maximum(pos - 1, 0)], np.inf)
         right = np.where(pos < flat.size, flat[np.minimum(pos, flat.size - 1)] - yc, np.inf)
-        out = varying.copy()
+        member[:, ix] = varying
         for iy in np.nonzero(~varying & (np.minimum(left, right) < suspect))[0]:
-            out[iy] = amoeba_membership(poly, float(xc[ix]), float(yc[iy]))
-        return out
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cols = list(pool.map(column, range(nx)))
-    else:
-        cols = [column(ix) for ix in range(nx)]
-    member = np.stack(cols, axis=1)
+            member[iy, ix] = amoeba_membership(poly, x, float(yc[iy]))
     frame_ok = _frame_consistent(member, window, nx, ny, poly)
     return AmoebaGrid(window=window, nx=nx, ny=ny, membership=member, frame_ok=frame_ok)
 
@@ -346,7 +378,7 @@ def gradient_ronkin(poly: BivariatePolynomial, x: float, y: float) -> tuple[floa
             fn = lambda phis: _w_logmods(poly, x, phis)
             level = y
         else:
-            fn = lambda psis: _z_logmods(poly, y, psis)
+            fn = lambda psis: _root_logmods(poly.z_coefficients(np.exp(y + 1j * psis)))
             level = x
         angles, counts, jumps = _crossing_angles(fn, level)
         if angles.size == 0:
@@ -660,6 +692,11 @@ def _column_integral(poly: BivariatePolynomial, x: float, y0: float, y1: float, 
     return (y1 - y0) * math.log(lead) + q.value / (2.0 * math.pi)
 
 
+def _simpson(vals: np.ndarray, h: float) -> float:
+    """Composite Simpson sum of samples at spacing h over an even number of panels."""
+    return h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum())
+
+
 def _volume_over_box(poly1, poly2, box, rel_tol: float = 1e-6) -> float:
     """Integral of R1 - R2 over the box by adaptive Simpson in x."""
     x0, x1, y0, y1 = box
@@ -670,8 +707,7 @@ def _volume_over_box(poly1, poly2, box, rel_tol: float = 1e-6) -> float:
     n = 64
     xs = np.linspace(x0, x1, n + 1)
     vals = np.array([f(x) for x in xs])
-    hstep = (x1 - x0) / n
-    simpson = hstep / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum())
+    simpson = _simpson(vals, (x1 - x0) / n)
     for _ in range(4):
         mids = 0.5 * (xs[:-1] + xs[1:])
         mid_vals = np.array([f(x) for x in mids])
@@ -681,8 +717,7 @@ def _volume_over_box(poly1, poly2, box, rel_tol: float = 1e-6) -> float:
         merged[1::2] = mid_vals
         xs = np.linspace(x0, x1, n + 1)
         vals = merged
-        hstep = (x1 - x0) / n
-        refined = hstep / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum())
+        refined = _simpson(vals, (x1 - x0) / n)
         if abs(refined - simpson) < rel_tol * max(1e-3, abs(refined)):
             return refined
         simpson = refined
@@ -724,8 +759,7 @@ def volume_difference(poly1: BivariatePolynomial, poly2: BivariatePolynomial, ri
         vals = np.array([
             _column_integral(p1, x, sy0, sy1) - _column_integral(p2, x, sy0, sy1) for x in xs
         ])
-        h = (sx1 - sx0) / n
-        return h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum())
+        return _simpson(vals, (sx1 - sx0) / n)
 
     for _ in range(6):
         x0, x1, y0, y1 = box
@@ -760,27 +794,11 @@ def two_to_one_check(
     give exactly 2 at interior points (a complex-conjugate pair); a real node
     collapses them to a single cluster.
     """
-    phis = 2.0 * np.pi * (np.arange(n_phi) + 0.382) / n_phi
-
-    def dist(angles: np.ndarray) -> np.ndarray:
-        return np.min(np.abs(_w_logmods(poly, x, angles) - y), axis=1)
-
-    d0 = dist(phis)
-    if d0.min() > 0.3:
-        return 0
-    is_min = (d0 <= np.roll(d0, 1)) & (d0 <= np.roll(d0, -1)) & (d0 < 0.3)
+    phis = _sweep_angles(n_phi)
+    gap = np.min(np.abs(_w_logmods(poly, x, phis) - y), axis=1)
     events: list[tuple[float, float]] = []
-    step = 2.0 * np.pi / n_phi
-    for idx in np.nonzero(is_min)[0]:
-        lo, hi = phis[idx] - step, phis[idx] + step
-        for _ in range(10):
-            grid = np.linspace(lo, hi, 33)
-            vals = dist(np.mod(grid, 2.0 * np.pi))
-            k = int(np.argmin(vals))
-            width = (hi - lo) / 8.0
-            lo, hi = grid[k] - width, grid[k] + width
-        phi = float(np.mod(grid[k], 2.0 * np.pi))
-        if vals[k] >= touch_tol:
+    for phi, dip in _dips(poly, x, y, phis, gap, cap=0.3, points=33, zooms=10):
+        if dip >= touch_tol:
             continue
         z = np.exp(x + 1j * phi)
         rts = polyroots_batch(poly.w_coefficients(np.array([z])))[0]
@@ -808,23 +826,26 @@ def two_to_one_check(
     return len(clusters)
 
 
+def _log_gradient(poly, signs, X: float, Y: float, eps: float) -> tuple[float, float]:
+    """Central differences at step eps of Re P(sz e^X, sw e^Y) in X and in Y.
+
+    These are Re z dP/dz and Re w dP/dw on the real quadrant ``signs``.
+    """
+    sz, sw = signs
+    z = sz * math.exp(X)
+    w = sw * math.exp(Y)
+    fx = (poly(sz * math.exp(X + eps), w).real - poly(sz * math.exp(X - eps), w).real) / (2 * eps)
+    fy = (poly(z, sw * math.exp(Y + eps)).real - poly(z, sw * math.exp(Y - eps)).real) / (2 * eps)
+    return fx, fy
+
+
 def _newton_to_curve(poly, signs, point, max_iter: int = 30):
     """Project a (X, Y) log-point onto the real curve branch in its quadrant."""
     sz, sw = signs
     X, Y = point
-
-    def value_grad(X, Y):
-        z = sz * math.exp(X)
-        w = sw * math.exp(Y)
-        f = poly(z, w).real
-        # dP/dX = z dP/dz etc.
-        eps = 1e-7
-        fz = (poly(sz * math.exp(X + eps), w).real - poly(sz * math.exp(X - eps), w).real) / (2 * eps)
-        fw = (poly(z, sw * math.exp(Y + eps)).real - poly(z, sw * math.exp(Y - eps)).real) / (2 * eps)
-        return f, fz, fw
-
     for _ in range(max_iter):
-        f, fx, fy = value_grad(X, Y)
+        f = poly(sz * math.exp(X), sw * math.exp(Y)).real
+        fx, fy = _log_gradient(poly, signs, X, Y, 1e-7)
         norm2 = fx * fx + fy * fy
         if norm2 == 0:
             return None
@@ -908,7 +929,6 @@ def _quadrant_seeds(poly, signs, window, n_seed):
 
 
 def _trace_from(poly, signs, seed, window, max_steps):
-    sz, sw = signs
     x0, x1, y0, y1 = window
     margin = 0.5
     start = _newton_to_curve(poly, signs, seed)
@@ -916,11 +936,7 @@ def _trace_from(poly, signs, seed, window, max_steps):
         return None, False
 
     def tangent(X, Y):
-        eps = 1e-6
-        z = sz * math.exp(X)
-        w = sw * math.exp(Y)
-        fx = (poly(sz * math.exp(X + eps), w).real - poly(sz * math.exp(X - eps), w).real) / (2 * eps)
-        fy = (poly(z, sw * math.exp(Y + eps)).real - poly(z, sw * math.exp(Y - eps)).real) / (2 * eps)
+        fx, fy = _log_gradient(poly, signs, X, Y, 1e-6)
         norm = math.hypot(fx, fy)
         if norm == 0:
             return None
@@ -1055,7 +1071,6 @@ def verify_harnack(
     checks["genus_bound"] = report.genus + len(report.candidate_nodes) <= max_genus
 
     rng = np.random.default_rng(seed)
-    member_idx = np.argwhere(grid.membership)
     # stay away from the frame and from holes: erode twice
     eroded = grid.membership.copy()
     for _ in range(2):

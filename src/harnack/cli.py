@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -19,13 +20,12 @@ import numpy as np
 from . import io as hio
 from .amoeba import (
     amoeba_area,
-    amoeba_membership,
-    auto_window,
     detect_holes,
     gradient_ronkin,
     monge_ampere_residual,
     rasterize_amoeba,
     ronkin,
+    sample_interior,
     verify_harnack,
     volume_difference,
 )
@@ -76,6 +76,21 @@ def _output(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _positive(kind):
+    """argparse type: a finite number of ``kind`` above zero."""
+
+    def parse(raw: str):
+        try:
+            value = kind(raw)
+        except ValueError:
+            value = None
+        if value is None or not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be a positive {kind.__name__}, got {raw!r}")
+        return value
+
+    return parse
+
+
 def _parse_window(raw: str):
     if raw == "auto":
         return None
@@ -93,25 +108,6 @@ def _parse_point(raw: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ValueError("point must be x,y")
     return float(parts[0]), float(parts[1])
-
-
-def _sample_interior(poly, count: int, rng, margin: float = 0.12):
-    """Random amoeba points with a clear margin to the boundary on all sides."""
-    x0, x1, y0, y1 = auto_window(poly, pad=0.5)
-    points = []
-    attempts = 0
-    while len(points) < count:
-        attempts += 1
-        if attempts > 4000 * count:
-            raise RuntimeError("no convergence: interior point sampling stalled")
-        x = rng.uniform(x0, x1)
-        y = rng.uniform(y0, y1)
-        if all(
-            amoeba_membership(poly, x + dx, y + dy)
-            for dx, dy in ((0, 0), (margin, 0), (-margin, 0), (0, margin), (0, -margin))
-        ):
-            points.append((x, y))
-    return points
 
 
 # ---------------------------------------------------------------- commands
@@ -151,8 +147,7 @@ def _cmd_boundary(args) -> int:
 def _cmd_amoeba(args) -> int:
     poly = hio.poly_from_json(_load(args.poly))
     window = _parse_window(args.window)
-    grid = rasterize_amoeba(poly, window=window, nx=args.grid, ny=args.grid,
-                            threads=args.threads)
+    grid = rasterize_amoeba(poly, window=window, nx=args.grid, ny=args.grid)
     hio.write_pgm(grid, args.out)
     report = None
     if args.svg is not None:
@@ -186,7 +181,7 @@ def _cmd_ronkin(args) -> int:
 def _cmd_ma_check(args) -> int:
     poly = hio.poly_from_json(_load(args.poly))
     rng = np.random.default_rng(_seed())
-    points = _sample_interior(poly, args.points, rng)
+    points = sample_interior(poly, args.points, rng)
     residuals = [
         monge_ampere_residual(poly, x, y, h=args.step) for x, y in points
     ]
@@ -288,12 +283,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("amoeba", help="raster the amoeba to a PGM image")
     p.add_argument("--poly", required=True, help="polynomial JSON file")
-    p.add_argument("--grid", type=int, default=600, help="pixels per side (default 600)")
+    p.add_argument("--grid", type=_positive(int), default=600, help="pixels per side (default 600)")
     p.add_argument("--window", default="auto", help="'auto' or x0,x1,y0,y1")
     p.add_argument("--out", required=True, help="output PGM (P5) file")
     p.add_argument("--svg", default=None, help="also write an SVG with labeled holes")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads (output independent of this)")
     p.set_defaults(func=_cmd_amoeba)
 
     p = sub.add_parser("ronkin", help="Ronkin function value and gradient at a point")
@@ -303,18 +296,18 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("ma-check", help="Monge-Ampere residual at random interior points")
     p.add_argument("--poly", required=True, help="polynomial JSON file")
-    p.add_argument("--points", type=int, default=20, help="number of sample points")
-    p.add_argument("--step", type=float, default=1e-2, help="finite-difference step")
+    p.add_argument("--points", type=_positive(int), default=20, help="number of sample points")
+    p.add_argument("--step", type=_positive(float), default=1e-2, help="finite-difference step")
     p.set_defaults(func=_cmd_ma_check)
 
     p = sub.add_parser("holes", help="bounded amoeba complement components")
     p.add_argument("--poly", required=True, help="polynomial JSON file")
-    p.add_argument("--grid", type=int, default=360, help="raster resolution")
+    p.add_argument("--grid", type=_positive(int), default=360, help="raster resolution")
     p.set_defaults(func=_cmd_holes)
 
     p = sub.add_parser("verify-harnack", help="Harnack certificate; exit 0 iff all checks pass")
     p.add_argument("--poly", required=True, help="polynomial JSON file")
-    p.add_argument("--resolution", type=int, default=420, help="raster resolution")
+    p.add_argument("--resolution", type=_positive(int), default=420, help="raster resolution")
     p.set_defaults(func=_cmd_verify_harnack)
 
     p = sub.add_parser("genus0-fit", help="recover angle data from a boundary triple")

@@ -354,21 +354,6 @@ def jacobian_blocks(curve: Genus0Curve) -> np.ndarray:
     return blocks
 
 
-def assemble_from_blocks(curve: Genus0Curve) -> np.ndarray:
-    """Sum the elementary blocks into the full Jacobian (consistency helper)."""
-    d = curve.d
-    blocks = jacobian_blocks(curve)
-    jac = np.zeros((3 * d, 3 * d))
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                idx = (i, d + j, 2 * d + k)
-                for r in range(3):
-                    for c in range(3):
-                        jac[idx[r], idx[c]] += blocks[i, j, k, r, c]
-    return jac / d
-
-
 # ---------------------------------------------------------------------------
 # Newton inversion of the boundary map
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import EdgeWeights, ZigZagCycle, all_zigzag_products
-from .numerics import cluster_values, det_complex, roots
+from .lattice import EdgeWeights, all_zigzag_products
+from .numerics import det_complex, roots
 
 __all__ = [
     "BivariatePolynomial",

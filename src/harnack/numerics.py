@@ -8,7 +8,6 @@ integrands with known kink locations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -421,10 +420,3 @@ def polyroots_batch(coeff_rows: np.ndarray) -> np.ndarray:
     comp[:, idx + 1, idx] = 1.0
     comp[:, :, -1] = -monic
     return np.linalg.eigvals(comp)
-
-
-def wrap_angle(t: float | np.ndarray) -> float | np.ndarray:
-    """Reduce angles to [0, 2pi)."""
-    out = np.mod(t, 2.0 * math.pi)
-    # np.mod rounds tiny negative inputs up to the period itself
-    return np.where(out >= 2.0 * math.pi, 0.0, out)

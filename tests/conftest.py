@@ -9,12 +9,7 @@ split over parametrized cases.
 import numpy as np
 import pytest
 
-from harnack import (
-    EdgeWeights,
-    amoeba_membership,
-    auto_window,
-    characteristic_polynomial,
-)
+from harnack import EdgeWeights, characteristic_polynomial, sample_interior
 
 CRITERIA = {
     "c01": "uniform weights factor into cube-root lines",
@@ -77,33 +72,9 @@ def u3_poly():
 
 @pytest.fixture(scope="session")
 def interior_sampler():
-    """Seeded sampler of points at least ``margin`` deep inside an amoeba.
-
-    Membership is probed at the point and at four axis-shifted copies, so
-    accepted points stay clear of the boundary where the Ronkin function
-    loses smoothness.
-    """
+    """Seeded ``sample_interior``: points at least ``margin`` deep inside an amoeba."""
 
     def sample(poly, count, seed, margin=0.25):
-        rng = np.random.default_rng(seed)
-        xmin, xmax, ymin, ymax = auto_window(poly, pad=0.5)
-        out = []
-        attempts = 0
-        while len(out) < count:
-            attempts += 1
-            if attempts > 20000:
-                raise RuntimeError("interior sampling stalled")
-            x = float(rng.uniform(xmin, xmax))
-            y = float(rng.uniform(ymin, ymax))
-            probes = (
-                (x, y),
-                (x + margin, y),
-                (x - margin, y),
-                (x, y + margin),
-                (x, y - margin),
-            )
-            if all(amoeba_membership(poly, px, py) for px, py in probes):
-                out.append((x, y))
-        return out
+        return sample_interior(poly, count, np.random.default_rng(seed), margin=margin)
 
     return sample

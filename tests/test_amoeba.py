@@ -99,12 +99,6 @@ class TestRaster:
         with pytest.raises(ValueError, match="window must have positive extent"):
             rasterize_amoeba(line_poly, window=(1.0, 1.0, 0.0, 1.0), nx=16, ny=16)
 
-    def test_thread_count_does_not_change_pixels(self, line_poly):
-        window = auto_window(line_poly, pad=4.0)
-        one = rasterize_amoeba(line_poly, window=window, nx=64, ny=64, threads=1)
-        four = rasterize_amoeba(line_poly, window=window, nx=64, ny=64, threads=4)
-        assert np.array_equal(one.membership, four.membership)
-
     def test_line_area_smoke(self, line_poly):
         grid = rasterize_amoeba(line_poly, window=auto_window(line_poly, pad=8.0), nx=300, ny=300)
         est = amoeba_area(grid)

@@ -76,7 +76,7 @@ class TestBoundary:
 
 
 class TestAmoeba:
-    def test_pgm_output_and_thread_independence(self, tmp_path, capsys, line_poly_file):
+    def test_pgm_output_is_repeatable(self, tmp_path, capsys, line_poly_file):
         out1 = tmp_path / "a1.pgm"
         out2 = tmp_path / "a2.pgm"
         code, out, _ = run(
@@ -89,8 +89,7 @@ class TestAmoeba:
         assert out1.read_bytes().startswith(b"P5\n48 48\n255\n")
         code, _, _ = run(
             capsys,
-            ["amoeba", "--poly", line_poly_file, "--grid", "48", "--out", str(out2),
-             "--threads", "3"],
+            ["amoeba", "--poly", line_poly_file, "--grid", "48", "--out", str(out2)],
         )
         assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -284,6 +283,26 @@ class TestErrorPaths:
     def test_help_exits_zero(self, capsys, name):
         assert main([name, "--help"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["amoeba", "--grid", "0", "--out", "a.pgm"],
+            ["holes", "--grid", "0"],
+            ["holes", "--grid", "-3"],
+            ["verify-harnack", "--resolution", "0"],
+            ["ma-check", "--points", "0"],
+            ["ma-check", "--step", "0"],
+            ["ma-check", "--step", "nan"],
+            ["ma-check", "--step", "x"],
+        ],
+    )
+    def test_non_positive_sizes_rejected(self, capsys, line_poly_file, argv):
+        code, out, err = run(capsys, [argv[0], "--poly", line_poly_file, *argv[1:]])
+        assert code == 1 and out == ""
+        payload = json.loads(err.splitlines()[-1])
+        assert payload["kind"] == "invalid"
+        assert "must be a positive" in payload["error"]
 
     def test_missing_subcommand(self, capsys):
         code, _, err = run(capsys, [])

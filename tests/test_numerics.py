@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from harnack.genus0 import _wrap_angles
 from harnack.numerics import (
     ComplexPoly,
     cluster_values,
@@ -16,7 +17,6 @@ from harnack.numerics import (
     periodic_quadrature,
     polyroots_batch,
     roots,
-    wrap_angle,
 )
 
 
@@ -161,6 +161,6 @@ class TestPolyrootsBatch:
 
 @given(st.floats(-50.0, 50.0))
 def test_wrap_angle_range_and_period(t):
-    wrapped = wrap_angle(t)
+    wrapped = _wrap_angles(t)
     assert 0.0 <= wrapped < 2.0 * math.pi
-    assert abs(wrap_angle(t + 2.0 * math.pi) - wrapped) < 1e-9
+    assert abs(_wrap_angles(t + 2.0 * math.pi) - wrapped) < 1e-9
