@@ -58,6 +58,7 @@ class AmoebaGrid:
     membership: np.ndarray  # bool, shape (ny, nx), row iy = y index
     frame_ok: bool = True
     ronkin_values: np.ndarray | None = field(default=None)
+    refined: int = 0  # pixels sent to the refined (dip-zoom) membership test
 
     @property
     def pixel_size(self) -> tuple[float, float]:
@@ -137,27 +138,57 @@ def _w_logmods(poly: BivariatePolynomial, x: float, phis: np.ndarray) -> np.ndar
     return _root_logmods(poly.w_coefficients(np.exp(x + 1j * phis)))
 
 
-def _dips(poly: BivariatePolynomial, x: float, y: float, phis: np.ndarray, gap: np.ndarray,
+def _dips(poly: BivariatePolynomial, x: float, ys: np.ndarray, phis: np.ndarray, gaps: np.ndarray,
           cap: float, points: int, zooms: int):
-    """Refined local minima of gap(phi) = min_r |log|w_r| - y| along the sweep.
+    """Refined local minima of gap_j(phi) = min_r |log|w_r| - ys[j]| along the sweep.
 
-    ``gap`` holds the samples on the sweep grid ``phis``. Each sampled local
-    minimum below ``cap`` is zoomed ``zooms`` times: a ``points``-point grid
-    over one sample step either side, then over a quarter of the previous
-    span around its best point. Yields (phi, gap) at the last best point,
-    lazily, so a caller can stop at the first dip it accepts.
+    ``gaps`` holds the samples on the sweep grid ``phis``, one row per level
+    in ``ys``. Each sampled local minimum below ``cap`` is zoomed ``zooms``
+    times: a ``points``-point grid over one sample step either side, then
+    over a quarter of the previous span around its best point. All dips are
+    zoomed in lockstep, one root batch per round. Returns (owner, phi, gap):
+    the row of each dip, ordered by row and then by angle, and phi and gap
+    at its last best point.
     """
-    is_min = (gap <= np.roll(gap, 1)) & (gap <= np.roll(gap, -1)) & (gap < cap)
+    is_min = (gaps <= np.roll(gaps, 1, axis=1)) & (gaps <= np.roll(gaps, -1, axis=1)) & (gaps < cap)
+    owner, idx = np.nonzero(is_min)
+    if owner.size == 0:
+        return owner, np.empty(0), np.empty(0)
     step = 2.0 * np.pi / phis.size
-    for idx in np.nonzero(is_min)[0]:
-        lo, hi = phis[idx] - step, phis[idx] + step
-        for _ in range(zooms):
-            grid = np.linspace(lo, hi, points)
-            vals = np.min(np.abs(_w_logmods(poly, x, np.mod(grid, 2.0 * np.pi)) - y), axis=1)
-            k = int(np.argmin(vals))
-            width = (hi - lo) / 8.0
-            lo, hi = grid[k] - width, grid[k] + width
-        yield float(np.mod(grid[k], 2.0 * np.pi)), vals[k]
+    lo, hi = phis[idx] - step, phis[idx] + step
+    levels = ys[owner][:, None, None]
+    rows = np.arange(owner.size)
+    for _ in range(zooms):
+        grid = np.linspace(lo, hi, points, axis=1)
+        logs = _w_logmods(poly, x, np.mod(grid, 2.0 * np.pi).reshape(-1))
+        vals = np.min(np.abs(logs.reshape(owner.size, points, -1) - levels), axis=2)
+        k = np.argmin(vals, axis=1)
+        width = (hi - lo) / 8.0
+        best = grid[rows, k]
+        lo, hi = best - width, best + width
+    return owner, np.mod(best, 2.0 * np.pi), vals[rows, k]
+
+
+def _column_members(poly: BivariatePolynomial, x: float, ys: np.ndarray, n_phi: int = 256,
+                    dip_tol: float = 1e-7) -> np.ndarray:
+    """Amoeba membership of (x, y) for every y in ``ys``, from one phi sweep at x.
+
+    A level is a member when the w-root count below exp(y) changes along the
+    sweep. Along the real locus the two conjugate intersections collide, the
+    root modulus only touches the level tangentially and the count never
+    jumps, so local minima of the modulus distance at the remaining levels
+    are refined and compared to ``dip_tol``.
+    """
+    phis = _sweep_angles(n_phi)
+    logs = _w_logmods(poly, x, phis)
+    counts = (logs[None, :, :] < ys[:, None, None]).sum(axis=2)
+    member = counts.min(axis=1) != counts.max(axis=1)
+    rest = np.nonzero(~member)[0]
+    if rest.size:
+        gaps = np.min(np.abs(logs[None, :, :] - ys[rest, None, None]), axis=2)
+        owner, _, dip = _dips(poly, x, ys[rest], phis, gaps, cap=0.05, points=17, zooms=8)
+        member[rest[owner[dip < dip_tol]]] = True
+    return member
 
 
 def _crossing_angles(logmods_fn, level: float, n_phi: int = 256, refine: int = 50):
@@ -198,20 +229,11 @@ def amoeba_membership(
 ) -> bool:
     """Whether (x, y) lies in the amoeba of P.
 
-    True when the w-root count below exp(y) changes along the phi sweep.
-    Along the real locus the two conjugate intersections collide, the root
-    modulus only touches the level tangentially and the count never jumps, so
-    local minima of the modulus distance are refined and compared to
-    ``dip_tol``.
+    True when the w-root count below exp(y) changes along the phi sweep, or
+    a refined dip of the root-modulus distance falls below ``dip_tol``; the
+    one-point case of the raster's column test.
     """
-    phis = _sweep_angles(n_phi)
-    logs = _w_logmods(poly, x, phis)
-    counts = (logs < y).sum(axis=1)
-    if counts.min() != counts.max():
-        return True
-    gap = np.min(np.abs(logs - y), axis=1)
-    dips = _dips(poly, x, y, phis, gap, cap=0.05, points=17, zooms=8)
-    return any(dip < dip_tol for _, dip in dips)
+    return bool(_column_members(poly, x, np.array([y], dtype=float), n_phi, dip_tol)[0])
 
 
 def sample_interior(
@@ -219,14 +241,17 @@ def sample_interior(
     count: int,
     rng: np.random.Generator,
     margin: float = 0.12,
+    ring: float = 0.0,
 ) -> list[tuple[float, float]]:
     """Random amoeba points with a clear margin to the boundary on all sides.
 
     Points are drawn uniformly from ``auto_window(poly, pad=0.5)`` and kept
     when the point and its four axis-shifted copies at distance ``margin``
     are all amoeba members, so they stay clear of the boundary where the
-    Ronkin function loses smoothness. Raises RuntimeError after 4000 draws
-    per requested point.
+    Ronkin function loses smoothness. A positive ``ring`` also requires the
+    eight points at that radius to be members, the check that
+    ``monge_ampere_residual`` makes at ring = 3h. Raises RuntimeError after
+    4000 draws per requested point.
     """
     x0, x1, y0, y1 = auto_window(poly, pad=0.5)
     points = []
@@ -240,9 +265,18 @@ def sample_interior(
         if all(
             amoeba_membership(poly, x + dx, y + dy)
             for dx, dy in ((0, 0), (margin, 0), (-margin, 0), (0, margin), (0, -margin))
-        ):
+        ) and (ring <= 0.0 or _ring_inside(poly, x, y, ring)):
             points.append((x, y))
     return points
+
+
+def _ring_inside(poly: BivariatePolynomial, x: float, y: float, radius: float) -> bool:
+    """Whether the eight points at ``radius`` around (x, y) are amoeba members."""
+    for k in range(8):
+        ang = 2.0 * math.pi * k / 8.0
+        if not amoeba_membership(poly, x + radius * math.cos(ang), y + radius * math.sin(ang)):
+            return False
+    return True
 
 
 def _frame_consistent(member: np.ndarray, grid_window, nx, ny, poly) -> bool:
@@ -282,7 +316,10 @@ def rasterize_amoeba(
     Each pixel column shares one phi sweep: the pixel at row iy is a member
     when the root count below its center level varies over phi. A narrow
     grazing band (capped well below the pixel size so the area estimator
-    stays unbiased) catches tangential intersections the count cannot see.
+    stays unbiased) catches tangential intersections the count cannot see:
+    the column's pixels in that band get the refined test of
+    ``amoeba_membership`` together, from one finer sweep with their dips
+    zoomed in lockstep. ``AmoebaGrid.refined`` counts them.
     """
     if window is None:
         window = auto_window(poly)
@@ -299,6 +336,7 @@ def rasterize_amoeba(
     suspect = max(1.5 * py, 4e-3)
     phis = _sweep_angles(n_phi)
     member = np.empty((ny, nx), dtype=bool)
+    refined = 0
     for ix in range(nx):
         x = float(xc[ix])
         logs = _w_logmods(poly, x, phis)
@@ -309,10 +347,12 @@ def rasterize_amoeba(
         left = np.where(pos > 0, yc - flat[np.maximum(pos - 1, 0)], np.inf)
         right = np.where(pos < flat.size, flat[np.minimum(pos, flat.size - 1)] - yc, np.inf)
         member[:, ix] = varying
-        for iy in np.nonzero(~varying & (np.minimum(left, right) < suspect))[0]:
-            member[iy, ix] = amoeba_membership(poly, x, float(yc[iy]))
+        rows = np.nonzero(~varying & (np.minimum(left, right) < suspect))[0]
+        if rows.size:
+            member[rows, ix] = _column_members(poly, x, yc[rows])
+            refined += int(rows.size)
     frame_ok = _frame_consistent(member, window, nx, ny, poly)
-    return AmoebaGrid(window=window, nx=nx, ny=ny, membership=member, frame_ok=frame_ok)
+    return AmoebaGrid(window=window, nx=nx, ny=ny, membership=member, frame_ok=frame_ok, refined=refined)
 
 
 def amoeba_area(grid: AmoebaGrid) -> AreaEstimate:
@@ -346,6 +386,7 @@ def ronkin(poly: BivariatePolynomial, x: float, y: float, tol: float = 1e-11) ->
     Averages log|P(e^{x+i phi}, e^{y+i psi})| over the torus; the psi average
     collapses by Jensen's formula to log|p_{0,d}| + sum_r max(y, log|w_r|),
     which is integrated over phi with panels split at the crossing angles.
+    Raises RuntimeError when that quadrature does not converge.
     """
     lead = abs(poly.corner("w"))
     if lead == 0.0:
@@ -360,6 +401,8 @@ def ronkin(poly: BivariatePolynomial, x: float, y: float, tol: float = 1e-11) ->
         return np.maximum(y, _w_logmods(poly, x, phis)).sum(axis=1)
 
     q = integrate_periodic_kinked(integrand, kinks, tol=tol)
+    if not q.converged:
+        raise RuntimeError(f"no convergence: Ronkin quadrature at ({x}, {y}) after {q.n} evaluations")
     return math.log(lead) + q.value / (2.0 * math.pi)
 
 
@@ -422,10 +465,8 @@ def monge_ampere_residual(
     """
     if not amoeba_membership(poly, x, y):
         raise ValueError("point outside amoeba")
-    for k in range(8):
-        ang = 2.0 * math.pi * k / 8.0
-        if not amoeba_membership(poly, x + 3 * h * math.cos(ang), y + 3 * h * math.sin(ang)):
-            raise ValueError("point too close to amoeba boundary")
+    if not _ring_inside(poly, x, y, 3 * h):
+        raise ValueError("point too close to amoeba boundary")
     hess = _hessian_fd(poly, x, y, h)
     if richardson:
         hess = (4.0 * _hessian_fd(poly, x, y, h / 2.0) - hess) / 3.0
@@ -675,7 +716,10 @@ def legendre_dual_residual(poly: BivariatePolynomial, s: float, t: float, h: flo
 
 
 def _column_integral(poly: BivariatePolynomial, x: float, y0: float, y1: float, tol: float = 1e-9) -> float:
-    """Integral of R(x, y) over y in [y0, y1]; exact in y, adaptive in phi."""
+    """Integral of R(x, y) over y in [y0, y1]; exact in y, adaptive in phi.
+
+    Raises RuntimeError when the phi quadrature does not converge.
+    """
     lead = abs(poly.corner("w"))
 
     def integrand(phis):
@@ -689,6 +733,8 @@ def _column_integral(poly: BivariatePolynomial, x: float, y0: float, y1: float, 
         return vals.sum(axis=1)
 
     q = integrate_periodic_kinked(integrand, [], tol=tol)
+    if not q.converged:
+        raise RuntimeError(f"no convergence: Ronkin column integral at x = {x} after {q.n} evaluations")
     return (y1 - y0) * math.log(lead) + q.value / (2.0 * math.pi)
 
 
@@ -796,10 +842,10 @@ def two_to_one_check(
     """
     phis = _sweep_angles(n_phi)
     gap = np.min(np.abs(_w_logmods(poly, x, phis) - y), axis=1)
+    _, dip_phis, dips = _dips(poly, x, np.array([y], dtype=float), phis, gap[None, :],
+                              cap=0.3, points=33, zooms=10)
     events: list[tuple[float, float]] = []
-    for phi, dip in _dips(poly, x, y, phis, gap, cap=0.3, points=33, zooms=10):
-        if dip >= touch_tol:
-            continue
+    for phi in dip_phis[dips < touch_tol].tolist():
         z = np.exp(x + 1j * phi)
         rts = polyroots_batch(poly.w_coefficients(np.array([z])))[0]
         w = rts[int(np.argmin(np.abs(np.log(np.maximum(np.abs(rts), 1e-300)) - y)))]

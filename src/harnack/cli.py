@@ -181,7 +181,8 @@ def _cmd_ronkin(args) -> int:
 def _cmd_ma_check(args) -> int:
     poly = hio.poly_from_json(_load(args.poly))
     rng = np.random.default_rng(_seed())
-    points = sample_interior(poly, args.points, rng)
+    # only points whose 3h ring passes monge_ampere_residual's check
+    points = sample_interior(poly, args.points, rng, ring=3 * args.step)
     residuals = [
         monge_ampere_residual(poly, x, y, h=args.step) for x, y in points
     ]

@@ -28,6 +28,7 @@ from harnack import (
     verify_harnack,
     volume_difference,
 )
+from harnack.numerics import QuadratureResult, polyroots_batch
 
 seeds = st.integers(0, 10**9)
 
@@ -94,7 +95,98 @@ class TestMembership:
             assert amoeba_membership(moved, x, y) == amoeba_membership(base, x + bx, y + by)
 
 
+def _oracle_logmods(poly, x, phis):
+    mods = np.abs(polyroots_batch(poly.w_coefficients(np.exp(x + 1j * phis))))
+    return np.where(mods > 0, np.log(np.where(mods > 0, mods, 1.0)), -745.0)
+
+
+def _oracle_membership(poly, x, y, n_phi=256, dip_tol=1e-7):
+    """Point membership as one sequential test: a 256-angle sweep, the count
+    test, then each dip below 0.05 zoomed on its own (17 points, 8 zooms)."""
+    phis = 2.0 * np.pi * (np.arange(n_phi) + 0.382) / n_phi
+    logs = _oracle_logmods(poly, x, phis)
+    counts = (logs < y).sum(axis=1)
+    if counts.min() != counts.max():
+        return True
+    gap = np.min(np.abs(logs - y), axis=1)
+    step = 2.0 * np.pi / n_phi
+    for idx in np.nonzero((gap <= np.roll(gap, 1)) & (gap <= np.roll(gap, -1)) & (gap < 0.05))[0]:
+        lo, hi = phis[idx] - step, phis[idx] + step
+        for _ in range(8):
+            grid = np.linspace(lo, hi, 17)
+            vals = np.min(np.abs(_oracle_logmods(poly, x, np.mod(grid, 2.0 * np.pi)) - y), axis=1)
+            k = int(np.argmin(vals))
+            width = (hi - lo) / 8.0
+            lo, hi = grid[k] - width, grid[k] + width
+        if vals[k] < dip_tol:
+            return True
+    return False
+
+
+def _oracle_raster(poly, window, n, n_phi=160):
+    """The raster with each suspect pixel refined on its own by ``_oracle_membership``.
+
+    Returns the membership, the number of suspect pixels and how many of them
+    turned out members."""
+    x0, x1, y0, y1 = window
+    py = (y1 - y0) / n
+    xc = x0 + (np.arange(n) + 0.5) * (x1 - x0) / n
+    yc = y0 + (np.arange(n) + 0.5) * py
+    phis = 2.0 * np.pi * (np.arange(n_phi) + 0.382) / n_phi
+    member = np.empty((n, n), dtype=bool)
+    sent = grazed = 0
+    for ix in range(n):
+        x = float(xc[ix])
+        logs = _oracle_logmods(poly, x, phis)
+        counts = (logs[:, :, None] < yc[None, None, :]).sum(axis=1)
+        varying = counts.max(axis=0) != counts.min(axis=0)
+        dist = np.min(np.abs(logs.reshape(-1)[:, None] - yc[None, :]), axis=0)
+        member[:, ix] = varying
+        for iy in np.nonzero(~varying & (dist < max(1.5 * py, 4e-3)))[0]:
+            member[iy, ix] = _oracle_membership(poly, x, float(yc[iy]))
+            sent += 1
+            grazed += int(member[iy, ix])
+    return member, sent, grazed
+
+
+class TestColumnRefinement:
+    """The raster refines a column's suspect pixels together; the verdicts
+    must equal refining each pixel on its own."""
+
+    @pytest.mark.parametrize("d, seed, half, n", [(3, 2026, 1.0, 120), (4, 1, 0.5, 64)])
+    def test_raster_matches_per_pixel_oracle(self, d, seed, half, n):
+        poly = characteristic_polynomial(EdgeWeights.random(d, np.random.default_rng(seed)))
+        x0, x1, y0, y1 = auto_window(poly)
+        cx, cy, hx, hy = 0.5 * (x0 + x1), 0.5 * (y0 + y1), 0.5 * half * (x1 - x0), 0.5 * half * (y1 - y0)
+        window = (cx - hx, cx + hx, cy - hy, cy + hy)
+        grid = rasterize_amoeba(poly, window=window, nx=n, ny=n)
+        member, sent, grazed = _oracle_raster(poly, window, n)
+        assert np.array_equal(grid.membership, member)
+        assert grid.refined == sent
+        assert grazed > 0  # some suspect pixels are members: the dip zoom decided them
+
+    def test_membership_matches_oracle(self):
+        poly = characteristic_polynomial(EdgeWeights.random(3, np.random.default_rng(2026)))
+        x0, x1, y0, y1 = auto_window(poly, pad=0.5)
+        rng = np.random.default_rng(8)
+        points = [(float(rng.uniform(x0, x1)), float(rng.uniform(y0, y1))) for _ in range(20)]
+        # points on the real locus: the count never jumps there, only a dip can see them
+        for k, x in enumerate(np.linspace(x0, x1, 20)):
+            roots = polyroots_batch(poly.w_coefficients(np.array([(-1) ** k * math.exp(x)])))[0]
+            real = roots[np.abs(roots.imag) < 1e-12 * np.abs(roots)]
+            points.append((float(x), float(np.log(np.abs(real[0].real)))))
+        verdicts = [amoeba_membership(poly, x, y) for x, y in points]
+        assert verdicts == [_oracle_membership(poly, x, y) for x, y in points]
+        assert all(verdicts[20:])
+
+
 class TestRaster:
+    def test_refined_pixels_reported(self):
+        poly = characteristic_polynomial(EdgeWeights.random(3, np.random.default_rng(2026)))
+        assert rasterize_amoeba(poly, nx=120, ny=120).refined > 0
+        # far from every tentacle nothing is near the root-modulus pool
+        assert rasterize_amoeba(poly, window=(20.0, 22.0, -22.0, -20.0), nx=16, ny=16).refined == 0
+
     def test_window_must_have_extent(self, line_poly):
         with pytest.raises(ValueError, match="window must have positive extent"):
             rasterize_amoeba(line_poly, window=(1.0, 1.0, 0.0, 1.0), nx=16, ny=16)
@@ -112,6 +204,22 @@ class TestRaster:
         large = auto_window(line_poly, pad=5.0)
         assert small[0] > large[0] and small[1] < large[1]
         assert small[2] > large[2] and small[3] < large[3]
+
+
+class TestQuadratureConvergence:
+    @staticmethod
+    def _stalled(f, kinks, tol=1e-11, max_rounds=30):
+        return QuadratureResult(0.0, 48, False)
+
+    def test_unconverged_ronkin_raises(self, line_poly, monkeypatch):
+        monkeypatch.setattr("harnack.amoeba.integrate_periodic_kinked", self._stalled)
+        with pytest.raises(RuntimeError, match="no convergence"):
+            ronkin(line_poly, 0.0, 0.0)
+
+    def test_unconverged_column_integral_raises(self, u2_poly, monkeypatch):
+        monkeypatch.setattr("harnack.amoeba.integrate_periodic_kinked", self._stalled)
+        with pytest.raises(RuntimeError, match="no convergence"):
+            volume_difference(u2_poly, u2_poly)
 
 
 class TestLegendre:

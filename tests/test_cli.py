@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from harnack import EdgeWeights, Genus0Curve, IsoradialAngles, boundary_map
+from harnack import EdgeWeights, Genus0Curve, IsoradialAngles, boundary_map, sample_interior
 from harnack import io as hio
 from harnack.cli import main
 from harnack.kasteleyn import BivariatePolynomial, characteristic_polynomial
+from harnack.numerics import QuadratureResult
 
 SUBCOMMANDS = [
     "spectral",
@@ -140,6 +141,15 @@ class TestRonkin:
         assert payload["gradient"] == [1.0, 0.0]
         assert payload["value"] == pytest.approx(3.0, abs=1e-9)
 
+    def test_unconverged_quadrature_exits_two(self, capsys, line_poly_file, monkeypatch):
+        stalled = lambda f, kinks, tol=1e-11, max_rounds=30: QuadratureResult(0.0, 48, False)
+        monkeypatch.setattr("harnack.amoeba.integrate_periodic_kinked", stalled)
+        code, out, err = run(capsys, ["ronkin", "--poly", line_poly_file, "--at", "0,0"])
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["kind"] == "no-convergence"
+        assert "Ronkin quadrature" in payload["error"]
+
 
 class TestMaCheck:
     def test_residuals_small_and_seeded(self, capsys, line_poly_file, monkeypatch):
@@ -154,6 +164,34 @@ class TestMaCheck:
         monkeypatch.setenv("HARNACK_SEED", "5")
         _, out3, _ = run(capsys, ["ma-check", "--poly", line_poly_file, "--points", "3"])
         assert json.loads(out3)["points"] != payload["points"]
+
+    @pytest.fixture()
+    def d2_poly_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HARNACK_SEED", "1")
+        poly = characteristic_polynomial(EdgeWeights.random(2, np.random.default_rng(5)))
+        pfile = write_poly(tmp_path / "p2.json", poly)
+        # the command reads the rounded JSON copy, so the sampler gets it too
+        return hio.poly_from_json(json.loads((tmp_path / "p2.json").read_text())), pfile
+
+    @pytest.mark.parametrize("step", ["0.05", "0.1"])
+    def test_coarse_step_samples_points_that_fit_its_ring(self, capsys, d2_poly_file, step):
+        # the 3 * step ring that each residual checks is wider than the
+        # sampler's axis margin; the sampled points must still pass it
+        _, pfile = d2_poly_file
+        code, out, err = run(capsys, ["ma-check", "--poly", pfile, "--points", "4", "--step", step])
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert len(payload["points"]) == 4
+        assert payload["step"] == float(step)
+
+    def test_default_step_keeps_the_sampled_points(self, capsys, d2_poly_file):
+        # every point of the plain sampler already fits the 0.03 ring here,
+        # so requiring it changes nothing at the default step
+        poly, pfile = d2_poly_file
+        code, out, _ = run(capsys, ["ma-check", "--poly", pfile, "--points", "4"])
+        assert code == 0
+        expected = sample_interior(poly, 4, np.random.default_rng(1))
+        assert json.loads(out)["points"] == json.loads(hio.dumps_json([[x, y] for x, y in expected]))
 
 
 class TestHoles:
