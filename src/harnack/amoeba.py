@@ -107,6 +107,7 @@ class RealOval:
     points: np.ndarray  # (n, 2) of (z, w), with fixed signs
     closed: bool
     quadrant: tuple[int, int]
+    stalled: bool = False  # a walk ended on a tiny step or on max_steps, not by closing or leaving
 
 
 def auto_window(poly: BivariatePolynomial, pad: float = 2.0) -> tuple[float, float, float, float]:
@@ -872,6 +873,25 @@ def two_to_one_check(
     return len(clusters)
 
 
+def _real_value(poly, z: float, w: float) -> float:
+    """P(z, w) at real z and w, in plain floats.
+
+    The Horner order is that of ``BivariatePolynomial.__call__``. With both
+    imaginary parts zero, numpy's complex product has real part
+    ar*br - 0*0 = ar*br, so the result equals ``poly(z, w).real`` (a zero may
+    differ in sign).
+    """
+    d = poly.d
+    c = poly.coeffs.tolist()
+    out = 0.0
+    for j in range(d, -1, -1):
+        col = 0.0
+        for i in range(d, -1, -1):
+            col = col * z + c[i][j]
+        out = out * w + col
+    return out
+
+
 def _log_gradient(poly, signs, X: float, Y: float, eps: float) -> tuple[float, float]:
     """Central differences at step eps of Re P(sz e^X, sw e^Y) in X and in Y.
 
@@ -880,8 +900,8 @@ def _log_gradient(poly, signs, X: float, Y: float, eps: float) -> tuple[float, f
     sz, sw = signs
     z = sz * math.exp(X)
     w = sw * math.exp(Y)
-    fx = (poly(sz * math.exp(X + eps), w).real - poly(sz * math.exp(X - eps), w).real) / (2 * eps)
-    fy = (poly(z, sw * math.exp(Y + eps)).real - poly(z, sw * math.exp(Y - eps)).real) / (2 * eps)
+    fx = (_real_value(poly, sz * math.exp(X + eps), w) - _real_value(poly, sz * math.exp(X - eps), w)) / (2 * eps)
+    fy = (_real_value(poly, z, sw * math.exp(Y + eps)) - _real_value(poly, z, sw * math.exp(Y - eps))) / (2 * eps)
     return fx, fy
 
 
@@ -890,7 +910,7 @@ def _newton_to_curve(poly, signs, point, max_iter: int = 30):
     sz, sw = signs
     X, Y = point
     for _ in range(max_iter):
-        f = poly(sz * math.exp(X), sw * math.exp(Y)).real
+        f = _real_value(poly, sz * math.exp(X), sw * math.exp(Y))
         fx, fy = _log_gradient(poly, signs, X, Y, 1e-7)
         norm2 = fx * fx + fy * fy
         if norm2 == 0:
@@ -915,71 +935,95 @@ def trace_real_ovals(
 ) -> list[RealOval]:
     """Trace connected components of the real locus, one sign quadrant at a time.
 
-    Seeds come from real roots along coordinate slices; each unclaimed seed is
-    continued by predictor-corrector steps in log coordinates. A component is
-    a closed (compact) oval when the trace returns to its start inside the
-    window; arcs that leave the window are open tentacle pieces.
+    Seeds come from real roots along coordinate slices. Each unclaimed seed is
+    projected onto the curve and continued by predictor-corrector steps in log
+    coordinates. A component is a closed (compact) oval when the walk returns
+    to its start inside the window. Otherwise the walk is repeated backward
+    from the same start, and the two walks join into one open arc. Every seed
+    near the component is then claimed, so each component inside the window is
+    traced once. ``stalled`` marks a component whose walk ended on a tiny step
+    or on max_steps rather than by closing or leaving the window.
     """
     if window is None:
         window = auto_window(poly, pad=3.0)
-    x0, x1, y0, y1 = window
     ovals: list[RealOval] = []
-    for sz in (1, -1):
-        for sw in (1, -1):
-            seeds = _quadrant_seeds(poly, (sz, sw), window, n_seed)
-            claimed = np.zeros(len(seeds), dtype=bool)
-            for idx in range(len(seeds)):
-                if claimed[idx]:
-                    continue
-                path, closed = _trace_from(poly, (sz, sw), seeds[idx], window, max_steps)
-                if path is None or len(path) < 4:
-                    claimed[idx] = True
-                    continue
-                arr = np.asarray(path)
-                # claim seeds near the traced path
-                for k in range(len(seeds)):
-                    if claimed[k]:
-                        continue
-                    dmin = np.min(np.hypot(arr[:, 0] - seeds[k][0], arr[:, 1] - seeds[k][1]))
-                    if dmin < 0.08:
-                        claimed[k] = True
-                claimed[idx] = True
-                pts = np.column_stack([sz * np.exp(arr[:, 0]), sw * np.exp(arr[:, 1])])
-                ovals.append(RealOval(points=pts, closed=closed, quadrant=(sz, sw)))
+    for signs, seeds in _quadrant_seeds(poly, window, n_seed).items():
+        sz, sw = signs
+        seed_arr = np.asarray(seeds, dtype=float).reshape(-1, 2)
+        claimed = np.zeros(len(seeds), dtype=bool)
+        for idx in range(len(seeds)):
+            if claimed[idx]:
+                continue
+            claimed[idx] = True
+            start = _newton_to_curve(poly, signs, seeds[idx])
+            if start is None:
+                continue
+            path, end = _trace_from(poly, signs, start, window, max_steps, 1)
+            stalled = end == "stalled"
+            if end != "closed":
+                back, back_end = _trace_from(poly, signs, start, window, max_steps, -1)
+                stalled = stalled or back_end == "stalled"
+                path = back[::-1] + path[1:]
+            if len(path) < 4:
+                continue
+            arr = np.asarray(path)
+            _claim_near(seed_arr, claimed, arr, 0.08)
+            pts = np.column_stack([sz * np.exp(arr[:, 0]), sw * np.exp(arr[:, 1])])
+            ovals.append(RealOval(points=pts, closed=end == "closed", quadrant=signs, stalled=stalled))
     return ovals
 
 
-def _quadrant_seeds(poly, signs, window, n_seed):
-    sz, sw = signs
+def _claim_near(seeds: np.ndarray, claimed: np.ndarray, path: np.ndarray, radius: float) -> None:
+    """Claim every seed closer than radius to a point of path.
+
+    The path is taken in blocks of 32 points, which bounds the seed-by-point
+    distance matrix of a long walk.
+    """
+    for k in range(0, len(path), 32):
+        open_idx = np.flatnonzero(~claimed)
+        block = path[k:k + 32]
+        dist = np.hypot(seeds[open_idx, 0, None] - block[:, 0], seeds[open_idx, 1, None] - block[:, 1])
+        claimed[open_idx[(dist < radius).any(axis=1)]] = True
+
+
+def _quadrant_seeds(poly, window, n_seed):
+    """Real points of the curve on n_seed z-slices and n_seed w-slices of the window.
+
+    Returns a dict from sign quadrant (sz, sw) to its (X, Y) log-points: the
+    z-slice points in slice order, then the w-slice points. One root batch is
+    solved per slice axis and sign, and both signs of the other coordinate
+    share it.
+    """
     x0, x1, y0, y1 = window
-    seeds = []
-    for X in np.linspace(x0, x1, n_seed):
-        z = sz * math.exp(X)
-        row = poly.w_coefficients(np.array([complex(z)]))
-        rts = polyroots_batch(row)[0]
-        for w in rts:
-            if abs(w.imag) < 1e-9 * max(1.0, abs(w)) and w.real * sw > 0:
-                Y = math.log(abs(w.real))
-                if y0 <= Y <= y1:
-                    seeds.append((X, Y))
-    for Y in np.linspace(y0, y1, n_seed):
-        w = sw * math.exp(Y)
-        row = poly.z_coefficients(np.array([complex(w)]))
-        rts = polyroots_batch(row)[0]
-        for z in rts:
-            if abs(z.imag) < 1e-9 * max(1.0, abs(z)) and z.real * sz > 0:
-                X = math.log(abs(z.real))
-                if x0 <= X <= x1:
-                    seeds.append((X, Y))
+    seeds: dict[tuple[int, int], list] = {(sz, sw): [] for sz in (1, -1) for sw in (1, -1)}
+    for axis, slices, (lo, hi) in ((0, np.linspace(x0, x1, n_seed), (y0, y1)),
+                                    (1, np.linspace(y0, y1, n_seed), (x0, x1))):
+        coefficients = poly.w_coefficients if axis == 0 else poly.z_coefficients
+        for s in (1, -1):
+            # rows are built one slice at a time: one stacked powers @ coeffs
+            # product differs from them in the last bits
+            rows = np.vstack([coefficients(np.array([complex(s * math.exp(v))])) for v in slices])
+            roots = polyroots_batch(rows)
+            for other in (1, -1):
+                quadrant = seeds[(s, other) if axis == 0 else (other, s)]
+                for v, rts in zip(slices, roots):
+                    for r in rts:
+                        if abs(r.imag) < 1e-9 * max(1.0, abs(r)) and r.real * other > 0:
+                            u = math.log(abs(r.real))
+                            if lo <= u <= hi:
+                                quadrant.append((v, u) if axis == 0 else (u, v))
     return seeds
 
 
-def _trace_from(poly, signs, seed, window, max_steps):
+def _trace_from(poly, signs, start, window, max_steps, sense):
+    """Walk the real curve from the on-curve log-point start along sense times its tangent.
+
+    Returns the path and how the walk ended: "closed" (back at start after
+    one full turn), "left" (outside the window plus a margin) or "stalled"
+    (the step fell below 1e-6, or max_steps ran out).
+    """
     x0, x1, y0, y1 = window
     margin = 0.5
-    start = _newton_to_curve(poly, signs, seed)
-    if start is None:
-        return None, False
 
     def tangent(X, Y):
         fx, fy = _log_gradient(poly, signs, X, Y, 1e-6)
@@ -992,24 +1036,25 @@ def _trace_from(poly, signs, seed, window, max_steps):
     X, Y = start
     t = tangent(X, Y)
     if t is None:
-        return None, False
+        return path, "stalled"
+    if sense < 0:
+        t = (-t[0], -t[1])
     h = 0.02
     total_turn = 0.0
-    closed = False
     for step_idx in range(max_steps):
         Xp, Yp = X + h * t[0], Y + h * t[1]
         proj = _newton_to_curve(poly, signs, (Xp, Yp))
         if proj is None or math.hypot(proj[0] - Xp, proj[1] - Yp) > 2.0 * h:
             h *= 0.5
             if h < 1e-6:
-                break
+                return path, "stalled"
             continue
         Xn, Yn = proj
         tn = tangent(Xn, Yn)
         if tn is None:
             h *= 0.5
             if h < 1e-6:
-                break
+                return path, "stalled"
             continue
         # keep orientation consistent
         if t[0] * tn[0] + t[1] * tn[1] < 0:
@@ -1018,7 +1063,7 @@ def _trace_from(poly, signs, seed, window, max_steps):
         if abs(turn) > 0.35:
             h *= 0.5
             if h < 1e-6:
-                break
+                return path, "stalled"
             continue
         total_turn += turn
         X, Y, t = Xn, Yn, tn
@@ -1026,15 +1071,14 @@ def _trace_from(poly, signs, seed, window, max_steps):
         if abs(turn) < 0.05 and h < 0.08:
             h = min(1.5 * h, 0.08)
         if not (x0 - margin <= X <= x1 + margin and y0 - margin <= Y <= y1 + margin):
-            break
+            return path, "left"
         if step_idx > 8:
             dx = X - start[0]
             dy = Y - start[1]
             if math.hypot(dx, dy) < 1.2 * h and abs(abs(total_turn) - 2 * math.pi) < 1.0:
-                closed = True
                 path.append(start)
-                break
-    return path, closed
+                return path, "closed"
+    return path, "stalled"
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from harnack import (
     verify_harnack,
     volume_difference,
 )
+from harnack import amoeba as amoeba_mod
 from harnack.numerics import QuadratureResult, polyroots_batch
 
 seeds = st.integers(0, 10**9)
@@ -287,6 +288,92 @@ class TestRealLocus:
             assert oval.points.shape[1] == 2
             signs = np.sign(oval.points)
             assert np.all(signs == signs[0])  # one sign quadrant per component
+
+
+TRACE = dict(n_seed=160, max_steps=2500)
+
+
+def _one_slice_seeds(poly, signs, window, n_seed):
+    """The slice seeds as solved before batching: one root solve per slice and quadrant."""
+    sz, sw = signs
+    x0, x1, y0, y1 = window
+    seeds = []
+    for X in np.linspace(x0, x1, n_seed):
+        rts = polyroots_batch(poly.w_coefficients(np.array([complex(sz * math.exp(X))])))[0]
+        for w in rts:
+            if abs(w.imag) < 1e-9 * max(1.0, abs(w)) and w.real * sw > 0:
+                Y = math.log(abs(w.real))
+                if y0 <= Y <= y1:
+                    seeds.append((X, Y))
+    for Y in np.linspace(y0, y1, n_seed):
+        rts = polyroots_batch(poly.z_coefficients(np.array([complex(sw * math.exp(Y))])))[0]
+        for z in rts:
+            if abs(z.imag) < 1e-9 * max(1.0, abs(z)) and z.real * sz > 0:
+                X = math.log(abs(z.real))
+                if x0 <= X <= x1:
+                    seeds.append((X, Y))
+    return seeds
+
+
+@pytest.fixture(scope="module")
+def c07_model0():
+    """The first c07 draw, its pad-2 window and its ovals at the acceptance trace settings."""
+    poly = characteristic_polynomial(EdgeWeights.random(3, np.random.default_rng(2026)))
+    window = auto_window(poly, pad=2.0)
+    return poly, window, trace_real_ovals(poly, window=window, **TRACE)
+
+
+class TestOvalTrace:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_real_evaluator_matches_complex_call(self, d):
+        rng = np.random.default_rng(100 + d)
+        poly = characteristic_polynomial(EdgeWeights.random(d, rng))
+        for sz in (1.0, -1.0):
+            for sw in (1.0, -1.0):
+                for X, Y in rng.uniform(-4.0, 4.0, size=(25, 2)):
+                    z, w = sz * math.exp(X), sw * math.exp(Y)
+                    # == rather than bytes: a zero may differ in sign
+                    assert amoeba_mod._real_value(poly, z, w) == poly(z, w).real
+
+    @pytest.mark.parametrize("d, seed", [(3, 2026), (4, 1), (5, 7)])
+    def test_batched_seeds_equal_one_slice_seeds(self, d, seed):
+        poly = characteristic_polynomial(EdgeWeights.random(d, np.random.default_rng(seed)))
+        window = auto_window(poly, pad=2.0)
+        seeds = amoeba_mod._quadrant_seeds(poly, window, 160)
+        assert list(seeds) == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        for signs, got in seeds.items():
+            assert got == _one_slice_seeds(poly, signs, window, 160)
+
+    def test_every_seed_lies_on_a_returned_component(self, c07_model0):
+        poly, window, ovals = c07_model0
+        for signs, seeds in amoeba_mod._quadrant_seeds(poly, window, TRACE["n_seed"]).items():
+            logs = [np.log(np.abs(o.points)) for o in ovals if o.quadrant == signs]
+            assert logs or not seeds
+            for X, Y in seeds:
+                dist = min(float(np.min(np.hypot(p[:, 0] - X, p[:, 1] - Y))) for p in logs)
+                assert dist < 0.08
+
+    def test_each_component_traced_once(self, c07_model0):
+        _, _, ovals = c07_model0
+        d, genus = 3, 1
+        assert len(ovals) <= genus + 3 * d
+        assert sum(1 for o in ovals if o.closed) == genus
+        assert not any(o.stalled for o in ovals)
+
+    def test_open_arcs_leave_the_window_at_both_ends(self, c07_model0):
+        _, (x0, x1, y0, y1), ovals = c07_model0
+        for oval in ovals:
+            if oval.closed:
+                continue
+            for end in (oval.points[0], oval.points[-1]):
+                X, Y = np.log(np.abs(end))
+                assert not (x0 <= X <= x1 and y0 <= Y <= y1)
+
+    def test_walk_out_of_steps_is_flagged_stalled(self, c07_model0):
+        poly, window, _ = c07_model0
+        ovals = trace_real_ovals(poly, window=window, n_seed=TRACE["n_seed"], max_steps=6)
+        assert ovals
+        assert all(o.stalled and not o.closed for o in ovals)
 
 
 class TestCertificate:
