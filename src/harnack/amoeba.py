@@ -13,7 +13,7 @@ facet slopes of complement components come out at nearly machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class AmoebaGrid:
     ny: int
     membership: np.ndarray  # bool, shape (ny, nx), row iy = y index
     frame_ok: bool = True
-    ronkin_values: np.ndarray | None = field(default=None)
     refined: int = 0  # pixels sent to the refined (dip-zoom) membership test
 
     @property
@@ -170,15 +169,14 @@ def _dips(poly: BivariatePolynomial, x: float, ys: np.ndarray, phis: np.ndarray,
     return owner, np.mod(best, 2.0 * np.pi), vals[rows, k]
 
 
-def _column_members(poly: BivariatePolynomial, x: float, ys: np.ndarray, n_phi: int = 256,
-                    dip_tol: float = 1e-7) -> np.ndarray:
+def _column_members(poly: BivariatePolynomial, x: float, ys: np.ndarray, n_phi: int = 256) -> np.ndarray:
     """Amoeba membership of (x, y) for every y in ``ys``, from one phi sweep at x.
 
     A level is a member when the w-root count below exp(y) changes along the
     sweep. Along the real locus the two conjugate intersections collide, the
     root modulus only touches the level tangentially and the count never
     jumps, so local minima of the modulus distance at the remaining levels
-    are refined and compared to ``dip_tol``.
+    are refined, and a dip below 1e-7 makes the level a member.
     """
     phis = _sweep_angles(n_phi)
     logs = _w_logmods(poly, x, phis)
@@ -188,27 +186,28 @@ def _column_members(poly: BivariatePolynomial, x: float, ys: np.ndarray, n_phi: 
     if rest.size:
         gaps = np.min(np.abs(logs[None, :, :] - ys[rest, None, None]), axis=2)
         owner, _, dip = _dips(poly, x, ys[rest], phis, gaps, cap=0.05, points=17, zooms=8)
-        member[rest[owner[dip < dip_tol]]] = True
+        member[rest[owner[dip < 1e-7]]] = True
     return member
 
 
-def _crossing_angles(logmods_fn, level: float, n_phi: int = 256, refine: int = 50):
+def _crossing_angles(logmods_fn, level: float):
     """Angles where the root count below ``level`` jumps, with interval data.
 
     Returns (angles, counts, jumps): sorted crossing angles in [0, 2pi), the
-    root count on the sampled grid, and the signed jump at each crossing.
-    Crossings are refined by vectorized bisection on the count function.
+    root count on the 256-angle sweep, and the signed jump at each crossing.
+    Crossings are refined by vectorized bisection on the count function, at
+    most 50 halvings.
     """
-    phis = _sweep_angles(n_phi)
+    phis = _sweep_angles(256)
     counts = (logmods_fn(phis) < level).sum(axis=1)
     diff = np.diff(np.concatenate([counts, counts[:1]]))
     idx = np.nonzero(diff)[0]
     if idx.size == 0:
         return np.empty(0), counts, np.empty(0, dtype=int)
     lo = phis[idx]
-    hi = np.where(idx + 1 < n_phi, phis[(idx + 1) % n_phi], phis[0] + 2.0 * np.pi)
+    hi = np.where(idx + 1 < phis.size, phis[(idx + 1) % phis.size], phis[0] + 2.0 * np.pi)
     clo = counts[idx]
-    for _ in range(refine):
+    for _ in range(50):
         mid = 0.5 * (lo + hi)
         cmid = (logmods_fn(np.mod(mid, 2.0 * np.pi)) < level).sum(axis=1)
         take_hi = cmid != clo
@@ -226,15 +225,14 @@ def amoeba_membership(
     x: float,
     y: float,
     n_phi: int = 256,
-    dip_tol: float = 1e-7,
 ) -> bool:
     """Whether (x, y) lies in the amoeba of P.
 
-    True when the w-root count below exp(y) changes along the phi sweep, or
-    a refined dip of the root-modulus distance falls below ``dip_tol``; the
-    one-point case of the raster's column test.
+    True when the w-root count below exp(y) changes along the ``n_phi``-angle
+    phi sweep, or a refined dip of the root-modulus distance falls below
+    1e-7; the one-point case of the raster's column test.
     """
-    return bool(_column_members(poly, x, np.array([y], dtype=float), n_phi, dip_tol)[0])
+    return bool(_column_members(poly, x, np.array([y], dtype=float), n_phi)[0])
 
 
 def sample_interior(
@@ -310,12 +308,11 @@ def rasterize_amoeba(
     window: tuple[float, float, float, float] | None = None,
     nx: int = 600,
     ny: int = 600,
-    n_phi: int = 160,
 ) -> AmoebaGrid:
     """Pixel raster of amoeba membership.
 
-    Each pixel column shares one phi sweep: the pixel at row iy is a member
-    when the root count below its center level varies over phi. A narrow
+    Each pixel column shares one 160-angle phi sweep: the pixel at row iy is
+    a member when the root count below its center level varies over phi. A narrow
     grazing band (capped well below the pixel size so the area estimator
     stays unbiased) catches tangential intersections the count cannot see:
     the column's pixels in that band get the refined test of
@@ -335,7 +332,7 @@ def rasterize_amoeba(
     # narrow dip (real-locus tangency or a sub-sample crossing pair) and get
     # the refined point query instead of the coarse verdict
     suspect = max(1.5 * py, 4e-3)
-    phis = _sweep_angles(n_phi)
+    phis = _sweep_angles(160)
     member = np.empty((ny, nx), dtype=bool)
     refined = 0
     for ix in range(nx):
@@ -356,38 +353,34 @@ def rasterize_amoeba(
     return AmoebaGrid(window=window, nx=nx, ny=ny, membership=member, frame_ok=frame_ok, refined=refined)
 
 
+def _interior(mask: np.ndarray) -> np.ndarray:
+    """Pixels of mask whose four neighbours are all in mask; frame pixels never are."""
+    out = np.zeros_like(mask)
+    out[1:-1, 1:-1] = (
+        mask[1:-1, 1:-1] & mask[:-2, 1:-1] & mask[2:, 1:-1] & mask[1:-1, :-2] & mask[1:-1, 2:]
+    )
+    return out
+
+
 def amoeba_area(grid: AmoebaGrid) -> AreaEstimate:
     """Pixel-count area with a boundary-pixel error bar."""
     px, py = grid.pixel_size
     m = grid.membership
     inside = int(m.sum())
-    # boundary pixels: members with a non-member 4-neighbour
-    shifted = np.zeros_like(m)
-    boundary = np.zeros_like(m)
-    for axis, sign in ((0, 1), (0, -1), (1, 1), (1, -1)):
-        shifted = np.roll(m, sign, axis=axis)
-        if axis == 0:
-            if sign == 1:
-                shifted[0, :] = False
-            else:
-                shifted[-1, :] = False
-        else:
-            if sign == 1:
-                shifted[:, 0] = False
-            else:
-                shifted[:, -1] = False
-        boundary |= m & ~shifted
+    # boundary pixels: members with a non-member 4-neighbour or on the frame
+    boundary = m & ~_interior(m)
     err = float(boundary.sum()) * px * py * 0.5
     return AreaEstimate(value=inside * px * py, error_bar=err, frame_warning=not grid.frame_ok)
 
 
-def ronkin(poly: BivariatePolynomial, x: float, y: float, tol: float = 1e-11) -> float:
+def ronkin(poly: BivariatePolynomial, x: float, y: float) -> float:
     """Ronkin function R(x, y) of P.
 
     Averages log|P(e^{x+i phi}, e^{y+i psi})| over the torus; the psi average
     collapses by Jensen's formula to log|p_{0,d}| + sum_r max(y, log|w_r|),
-    which is integrated over phi with panels split at the crossing angles.
-    Raises RuntimeError when that quadrature does not converge.
+    which is integrated over phi with panels split at the crossing angles,
+    to the 1e-11 default tolerance of ``integrate_periodic_kinked``. Raises
+    RuntimeError when that quadrature does not converge.
     """
     lead = abs(poly.corner("w"))
     if lead == 0.0:
@@ -401,7 +394,7 @@ def ronkin(poly: BivariatePolynomial, x: float, y: float, tol: float = 1e-11) ->
     def integrand(phis):
         return np.maximum(y, _w_logmods(poly, x, phis)).sum(axis=1)
 
-    q = integrate_periodic_kinked(integrand, kinks, tol=tol)
+    q = integrate_periodic_kinked(integrand, kinks)
     if not q.converged:
         raise RuntimeError(f"no convergence: Ronkin quadrature at ({x}, {y}) after {q.n} evaluations")
     return math.log(lead) + q.value / (2.0 * math.pi)
@@ -444,8 +437,9 @@ def gradient_ronkin(poly: BivariatePolynomial, x: float, y: float) -> tuple[floa
 
 def _hessian_fd(poly, x, y, h):
     r = lambda xx, yy: ronkin(poly, xx, yy)
-    rxx = (r(x + h, y) + r(x - h, y) - 2.0 * r(x, y)) / h ** 2
-    ryy = (r(x, y + h) + r(x, y - h) - 2.0 * r(x, y)) / h ** 2
+    r0 = r(x, y)
+    rxx = (r(x + h, y) + r(x - h, y) - 2.0 * r0) / h ** 2
+    ryy = (r(x, y + h) + r(x, y - h) - 2.0 * r0) / h ** 2
     rxy = (r(x + h, y + h) + r(x - h, y - h) - r(x + h, y - h) - r(x - h, y + h)) / (4.0 * h ** 2)
     return np.array([[rxx, rxy], [rxy, ryy]])
 
@@ -455,22 +449,19 @@ def monge_ampere_residual(
     x: float,
     y: float,
     h: float = 1e-2,
-    richardson: bool = False,
 ) -> float:
     """det Hess R - 1/pi^2 by central differences at step h.
 
     Harnack curves satisfy det Hess R = 1/pi^2 on the amoeba interior. The
-    default is the plain O(h^2) stencil so refinement studies see clean decay;
-    ``richardson`` switches on one extrapolation level. The point must be
-    strictly inside the amoeba (a ring of radius 3h is checked).
+    stencil is the plain O(h^2) one, so refinement studies see clean decay.
+    The point must be strictly inside the amoeba (a ring of radius 3h is
+    checked).
     """
     if not amoeba_membership(poly, x, y):
         raise ValueError("point outside amoeba")
     if not _ring_inside(poly, x, y, 3 * h):
         raise ValueError("point too close to amoeba boundary")
     hess = _hessian_fd(poly, x, y, h)
-    if richardson:
-        hess = (4.0 * _hessian_fd(poly, x, y, h / 2.0) - hess) / 3.0
     det = hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2
     return float(det - 1.0 / math.pi ** 2)
 
@@ -498,32 +489,19 @@ def _components(mask: np.ndarray):
 
 
 def _deep_pixel(comp_mask: np.ndarray) -> tuple[int, int]:
-    """Pixel of the component farthest from its boundary (BFS distance)."""
-    from collections import deque
+    """Pixel of the component farthest from its boundary, the first in row-major order.
 
-    ny, nx = comp_mask.shape
-    dist = np.full((ny, nx), -1, dtype=int)
-    queue = deque()
-    ys, xs = np.nonzero(comp_mask)
-    for cy, cx in zip(ys, xs):
-        edge = cy in (0, ny - 1) or cx in (0, nx - 1)
-        if not edge:
-            for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                if not comp_mask[cy + dy, cx + dx]:
-                    edge = True
-                    break
-        if edge:
-            dist[cy, cx] = 0
-            queue.append((cy, cx))
-    while queue:
-        cy, cx = queue.popleft()
-        for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ty, tx = cy + dy, cx + dx
-            if 0 <= ty < ny and 0 <= tx < nx and comp_mask[ty, tx] and dist[ty, tx] < 0:
-                dist[ty, tx] = dist[cy, cx] + 1
-                queue.append((ty, tx))
-    flat = int(np.argmax(np.where(comp_mask, dist, -1)))
-    return flat // nx, flat % nx
+    The depth of a pixel is the number of erosions it survives, which is its
+    4-neighbour (L1) distance to the nearest pixel outside the component or
+    the frame, minus 1.
+    """
+    depth = np.zeros(comp_mask.shape, dtype=int)
+    core = comp_mask
+    while core.any():
+        core = _interior(core)
+        depth += core
+    flat = int(np.argmax(np.where(comp_mask, depth, -1)))
+    return divmod(flat, comp_mask.shape[1])
 
 
 def _complement_components(grid: AmoebaGrid):
@@ -598,7 +576,7 @@ def detect_holes(poly: BivariatePolynomial, grid: AmoebaGrid | None = None, nx: 
     return HoleReport(holes=big, genus=len(big), candidate_nodes=small)
 
 
-def facet_intercepts(poly: BivariatePolynomial, grid: AmoebaGrid | None = None, nx: int = 360) -> dict:
+def facet_intercepts(poly: BivariatePolynomial) -> dict:
     """Intercepts of the affine-linear pieces of R over all complement components.
 
     Unbounded facets are probed directly: the component of lattice order
@@ -606,7 +584,8 @@ def facet_intercepts(poly: BivariatePolynomial, grid: AmoebaGrid | None = None, 
     root logs), far below the amoeba body, and similarly for the west and
     north-east families. Probes move deeper until the exact Ronkin gradient
     matches the expected order, so tentacles thinner than any raster pixel
-    are still separated. Bounded components come from ``detect_holes``.
+    are still separated. Bounded components come from ``detect_holes`` at
+    its default 360-pixel raster.
     """
     bp = boundary_points(poly)
     d = poly.d
@@ -656,18 +635,19 @@ def facet_intercepts(poly: BivariatePolynomial, grid: AmoebaGrid | None = None, 
                 lambda dep, u=u_probe: ceil + 4.0 + dep - 0.5 * u,
                 order,
             )
-    for hole in detect_holes(poly, grid=grid, nx=nx).holes:
+    for hole in detect_holes(poly).holes:
         out[hole.order] = hole.intercept
     return out
 
 
-def legendre_transform(poly: BivariatePolynomial, s: float, t: float, tol: float = 1e-10) -> float:
+def legendre_transform(poly: BivariatePolynomial, s: float, t: float) -> float:
     """R^v(s, t) = sup_{x,y} (s x + t y - R(x, y)) on the Newton triangle.
 
     For (s, t) interior to the triangle the supremum is attained where
     grad R = (s, t); Newton iteration on that equation uses the exact gradient
-    and a finite-difference Hessian. Boundary or lattice (s, t) make the
-    maximizer run to infinity, so the iteration is capped.
+    and a finite-difference Hessian, and stops once the gradient misfit is
+    below 1e-10. Boundary or lattice (s, t) make the maximizer run to
+    infinity, so the iteration is capped.
     """
     d = poly.d
     if not (-1e-12 <= s and -1e-12 <= t and s + t <= d + 1e-12):
@@ -680,7 +660,7 @@ def legendre_transform(poly: BivariatePolynomial, s: float, t: float, tol: float
     for _ in range(60):
         gx, gy = gradient_ronkin(poly, x, y)
         rx, ry = s - gx, t - gy
-        if math.hypot(rx, ry) < tol:
+        if math.hypot(rx, ry) < 1e-10:
             break
         fd = 1e-4
         gxp = gradient_ronkin(poly, x + fd, y)
@@ -707,8 +687,12 @@ def legendre_transform(poly: BivariatePolynomial, s: float, t: float, tol: float
     return s * x + t * y - ronkin(poly, x, y)
 
 
-def legendre_dual_residual(poly: BivariatePolynomial, s: float, t: float, h: float = 1e-2) -> float:
-    """det Hess R^v - pi^2 by central differences; dual Monge-Ampere check."""
+def legendre_dual_residual(poly: BivariatePolynomial, s: float, t: float) -> float:
+    """det Hess R^v - pi^2 by central differences at step 1e-2.
+
+    The dual Monge-Ampere check.
+    """
+    h = 1e-2
     rv = lambda ss, tt: legendre_transform(poly, ss, tt)
     vxx = (rv(s + h, t) + rv(s - h, t) - 2.0 * rv(s, t)) / h ** 2
     vyy = (rv(s, t + h) + rv(s, t - h) - 2.0 * rv(s, t)) / h ** 2
@@ -716,8 +700,8 @@ def legendre_dual_residual(poly: BivariatePolynomial, s: float, t: float, h: flo
     return float(vxx * vyy - vxy ** 2 - math.pi ** 2)
 
 
-def _column_integral(poly: BivariatePolynomial, x: float, y0: float, y1: float, tol: float = 1e-9) -> float:
-    """Integral of R(x, y) over y in [y0, y1]; exact in y, adaptive in phi.
+def _column_integral(poly: BivariatePolynomial, x: float, y0: float, y1: float) -> float:
+    """Integral of R(x, y) over y in [y0, y1]; exact in y, adaptive in phi to 1e-9.
 
     Raises RuntimeError when the phi quadrature does not converge.
     """
@@ -733,7 +717,7 @@ def _column_integral(poly: BivariatePolynomial, x: float, y0: float, y1: float, 
         vals = vals + np.where(mid, logs * (logs - y0) + 0.5 * (y1 ** 2 - logs ** 2), 0.0)
         return vals.sum(axis=1)
 
-    q = integrate_periodic_kinked(integrand, [], tol=tol)
+    q = integrate_periodic_kinked(integrand, [], tol=1e-9)
     if not q.converged:
         raise RuntimeError(f"no convergence: Ronkin column integral at x = {x} after {q.n} evaluations")
     return (y1 - y0) * math.log(lead) + q.value / (2.0 * math.pi)
@@ -744,8 +728,9 @@ def _simpson(vals: np.ndarray, h: float) -> float:
     return h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum())
 
 
-def _volume_over_box(poly1, poly2, box, rel_tol: float = 1e-6) -> float:
-    """Integral of R1 - R2 over the box by adaptive Simpson in x."""
+def _volume_over_box(poly1, poly2, box) -> float:
+    """Integral of R1 - R2 over the box by Simpson in x, doubling from 64
+    panels until two sums agree to relative 1e-6 (at most four doublings)."""
     x0, x1, y0, y1 = box
 
     def f(x):
@@ -765,19 +750,19 @@ def _volume_over_box(poly1, poly2, box, rel_tol: float = 1e-6) -> float:
         xs = np.linspace(x0, x1, n + 1)
         vals = merged
         refined = _simpson(vals, (x1 - x0) / n)
-        if abs(refined - simpson) < rel_tol * max(1e-3, abs(refined)):
+        if abs(refined - simpson) < 1e-6 * max(1e-3, abs(refined)):
             return refined
         simpson = refined
     return simpson
 
 
-def volume_difference(poly1: BivariatePolynomial, poly2: BivariatePolynomial, ring_tol: float = 1e-4) -> float:
+def volume_difference(poly1: BivariatePolynomial, poly2: BivariatePolynomial) -> float:
     """Integral of R1 - R2 over the plane for curves with equal boundary data.
 
     Both polynomials are normalized to constant term 1; their boundary
     coefficients must then agree to relative 1e-9, which makes R1 - R2 decay
     exponentially and the integral converge. The box expands until the last
-    ring contributes less than ``ring_tol`` of the accumulated value.
+    ring contributes less than 1e-4 of the accumulated value.
     """
     if poly1.d != poly2.d:
         raise ValueError("different boundary data: degrees differ")
@@ -800,8 +785,9 @@ def volume_difference(poly1: BivariatePolynomial, poly2: BivariatePolynomial, ri
     box = (min(w1[0], w2[0]), max(w1[1], w2[1]), min(w1[2], w2[2]), max(w1[3], w2[3]))
     total = _volume_over_box(p1, p2, box)
 
-    def strip(sx0, sx1, sy0, sy1, n=16):
+    def strip(sx0, sx1, sy0, sy1):
         # fixed Simpson: the integrand decays exponentially out here
+        n = 16
         xs = np.linspace(sx0, sx1, n + 1)
         vals = np.array([
             _column_integral(p1, x, sy0, sy1) - _column_integral(p2, x, sy0, sy1) for x in xs
@@ -819,7 +805,7 @@ def volume_difference(poly1: BivariatePolynomial, poly2: BivariatePolynomial, ri
         )
         total += ring
         box = grown
-        if abs(ring) < ring_tol * max(1e-8, abs(total)):
+        if abs(ring) < 1e-4 * max(1e-8, abs(total)):
             break
     return float(total)
 
@@ -828,25 +814,23 @@ def two_to_one_check(
     poly: BivariatePolynomial,
     x: float,
     y: float,
-    cluster_tol: float = 0.05,
-    touch_tol: float = 1e-6,
-    n_phi: int = 512,
 ) -> int:
     """Number of preimages of (x, y) on the unit-torus fibre of the amoeba map.
 
     Intersection points of the curve with the torus over (x, y) are the
     angles phi where some w-root modulus equals e^y. They are found as zeros
-    of the distance min_r |log|w_r| - y| (this catches tangential touches a
-    count-jump scan cannot see) and clustered in (phi, arg w). Harnack curves
+    of the distance min_r |log|w_r| - y| on a 512-angle sweep, refined dips
+    below 1e-6 (this catches tangential touches a count-jump scan cannot
+    see), and clustered in (phi, arg w) at radius 0.05. Harnack curves
     give exactly 2 at interior points (a complex-conjugate pair); a real node
     collapses them to a single cluster.
     """
-    phis = _sweep_angles(n_phi)
+    phis = _sweep_angles(512)
     gap = np.min(np.abs(_w_logmods(poly, x, phis) - y), axis=1)
     _, dip_phis, dips = _dips(poly, x, np.array([y], dtype=float), phis, gap[None, :],
                               cap=0.3, points=33, zooms=10)
     events: list[tuple[float, float]] = []
-    for phi in dip_phis[dips < touch_tol].tolist():
+    for phi in dip_phis[dips < 1e-6].tolist():
         z = np.exp(x + 1j * phi)
         rts = polyroots_batch(poly.w_coefficients(np.array([z])))[0]
         w = rts[int(np.argmin(np.abs(np.log(np.maximum(np.abs(rts), 1e-300)) - y)))]
@@ -866,7 +850,7 @@ def two_to_one_check(
         for ph, aw in clusters:
             dphi = min(abs(ev[0] - ph), 2 * math.pi - abs(ev[0] - ph))
             darg = min(abs(ev[1] - aw), 2 * math.pi - abs(ev[1] - aw))
-            if math.hypot(dphi, darg) < cluster_tol:
+            if math.hypot(dphi, darg) < 0.05:
                 break
         else:
             clusters.append(ev)
@@ -905,11 +889,15 @@ def _log_gradient(poly, signs, X: float, Y: float, eps: float) -> tuple[float, f
     return fx, fy
 
 
-def _newton_to_curve(poly, signs, point, max_iter: int = 30):
-    """Project a (X, Y) log-point onto the real curve branch in its quadrant."""
+def _newton_to_curve(poly, signs, point):
+    """Project a (X, Y) log-point onto the real curve branch in its quadrant.
+
+    Newton steps along the log gradient, at most 30, until |P| is below
+    1e-13 of the sum of its term moduli; None when that fails.
+    """
     sz, sw = signs
     X, Y = point
-    for _ in range(max_iter):
+    for _ in range(30):
         f = _real_value(poly, sz * math.exp(X), sw * math.exp(Y))
         fx, fy = _log_gradient(poly, signs, X, Y, 1e-7)
         norm2 = fx * fx + fy * fy
@@ -1091,11 +1079,11 @@ class HarnackCertificate:
         return all(self.checks.values())
 
 
-def _area_window_pad(bp: BoundaryPoints, base: float = 6.0) -> tuple[float, int]:
+def _area_window_pad(bp: BoundaryPoints) -> tuple[float, int]:
     """Frame padding that keeps clipped tentacle tails negligible.
 
     An m-fold boundary root feeds a tentacle of width exp(-t/m), so the pad
-    scales with the largest root cluster. Two distinct same-family roots at
+    is 6 times the largest root cluster. Two distinct same-family roots at
     log separation g < 1 merge into a composite of width exp(-t/2) until
     depth ~ log(1/g); the pad is extended so the frame sits past the split.
     """
@@ -1111,21 +1099,19 @@ def _area_window_pad(bp: BoundaryPoints, base: float = 6.0) -> tuple[float, int]
                 g = float(apart.min())
                 if g < 1.0:
                     penalty = max(penalty, 2.0 * math.log(1.0 / g))
-    return base * mult + penalty, mult
+    return 6.0 * mult + penalty, mult
 
 
 def verify_harnack(
     poly: BivariatePolynomial,
     resolution: int = 420,
-    n_points: int = 10,
-    area_tol: float = 0.02,
     seed: int = 0,
 ) -> HarnackCertificate:
     """Certificate that P is (numerically) the polynomial of a Harnack curve.
 
-    Checks: real constant-sign boundary points, amoeba area pi^2 d^2 / 2,
-    2-to-1 covering at random interior points, and compact ovals consistent
-    with the hole count and the genus bound (d-1)(d-2)/2.
+    Checks: real constant-sign boundary points, amoeba area pi^2 d^2 / 2 to
+    relative 0.02, 2-to-1 covering at 10 random interior points, and compact
+    ovals consistent with the hole count and the genus bound (d-1)(d-2)/2.
     """
     checks: dict[str, bool] = {}
     details: dict[str, object] = {}
@@ -1148,7 +1134,7 @@ def verify_harnack(
     grid = rasterize_amoeba(poly, window=window, nx=res, ny=res)
     est = amoeba_area(grid)
     target = math.pi ** 2 * d ** 2 / 2.0
-    checks["area"] = abs(est.value - target) < area_tol * target and not est.frame_warning
+    checks["area"] = abs(est.value - target) < 0.02 * target and not est.frame_warning
     details["area"] = est.value
     details["area_target"] = target
     details["boundary_multiplicity"] = mult
@@ -1162,16 +1148,10 @@ def verify_harnack(
 
     rng = np.random.default_rng(seed)
     # stay away from the frame and from holes: erode twice
-    eroded = grid.membership.copy()
-    for _ in range(2):
-        nbr = (
-            np.roll(eroded, 1, 0) & np.roll(eroded, -1, 0) & np.roll(eroded, 1, 1) & np.roll(eroded, -1, 1)
-        )
-        eroded &= nbr
-    cand = np.argwhere(eroded)
+    cand = np.argwhere(_interior(_interior(grid.membership)))
     ok = True
     values = []
-    for _ in range(n_points):
+    for _ in range(10):
         iy, ix = cand[rng.integers(len(cand))]
         x = grid.x_centers()[ix]
         y = grid.y_centers()[iy]

@@ -31,7 +31,7 @@ __all__ = [
 @dataclass(frozen=True)
 class DivisorPoint:
     """A zero of the vertex section on a compact oval.  oval_id indexes the
-    oval list used during the computation; -1 marks a candidate-node point."""
+    oval list used during the computation."""
 
     vertex: tuple[int, int]
     oval_id: int
@@ -39,26 +39,24 @@ class DivisorPoint:
     w: float
 
 
-def left_null_vector(weights: EdgeWeights, z: complex, w: complex,
-                     on_curve_tol: float = 1e-6,
-                     smooth_ratio: float = 1e3) -> np.ndarray:
+def left_null_vector(weights: EdgeWeights, z: complex, w: complex) -> np.ndarray:
     """Unit row vector u with u K(z, w) = 0.
 
-    The point must lie on the spectral curve (smallest singular value tiny
-    against the largest) and be smooth there (second-smallest singular value
-    larger by smooth_ratio); at a node both trailing singular values collapse
-    and the cokernel is no longer a line."""
+    The point must lie on the spectral curve (smallest singular value at most
+    1e-6 of the largest) and be smooth there (second-smallest singular value
+    at least 1e3 times the smallest); at a node both trailing singular values
+    collapse and the cokernel is no longer a line."""
     kast = assemble_K(weights, z, w)
     u_mat, sigma, _ = np.linalg.svd(kast)
     # the weight mass keeps the scale reference meaningful when K degenerates
     # entirely (the 1 x 1 case vanishes identically on the curve)
     mass = float(weights.a.sum() + weights.b.sum() + weights.c.sum())
     scale = max(sigma[0], mass / weights.d)
-    if sigma[-1] > on_curve_tol * scale:
+    if sigma[-1] > 1e-6 * scale:
         raise ValueError(
             f"point not on the spectral curve: singular value ratio "
             f"{sigma[-1] / scale:.3e}")
-    if len(sigma) > 1 and sigma[-2] < smooth_ratio * max(sigma[-1], 1e-300):
+    if len(sigma) > 1 and sigma[-2] < 1e3 * max(sigma[-1], 1e-300):
         raise ValueError("singular point")
     vec = np.conj(u_mat[:, -1])
     pivot = int(np.argmax(np.abs(vec)))
@@ -89,16 +87,16 @@ def sign_change_count(values: np.ndarray) -> int:
     return int(np.sum(values * nxt < 0.0))
 
 
-def _refine_zero(weights, poly, quadrant, p0, p1, u0, idx,
-                 max_iter: int = 60) -> tuple[float, float]:
+def _refine_zero(weights, poly, quadrant, p0, p1, u0, idx) -> tuple[float, float]:
     """Bisect the oval segment [p0, p1] for the component-idx zero, keeping
-    every probe on the curve via log-coordinate Newton projection."""
+    every probe on the curve via log-coordinate Newton projection; at most 60
+    halvings."""
     sz, sw = quadrant
     lo = np.array([math.log(abs(p0[0])), math.log(abs(p0[1]))])
     hi = np.array([math.log(abs(p1[0])), math.log(abs(p1[1]))])
     ref = u0.copy()
     v_lo = ref[idx]
-    for _ in range(max_iter):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         proj = _newton_to_curve(poly, quadrant, mid)
         if proj is None:
@@ -123,10 +121,9 @@ def _refine_zero(weights, poly, quadrant, p0, p1, u0, idx,
 
 
 def vertex_divisor(weights: EdgeWeights, vertex: tuple[int, int],
-                   ovals: list[RealOval] | None = None,
-                   candidate_nodes=()) -> list[DivisorPoint]:
+                   ovals: list[RealOval] | None = None) -> list[DivisorPoint]:
     """Divisor of one white vertex: zeros of its null-vector component along
-    every compact oval, plus one point per supplied candidate node.
+    every compact oval.
 
     The total must equal (d-1)(d-2)/2; a mismatch raises with per-oval
     diagnostics rather than returning a silently wrong divisor."""
@@ -166,8 +163,6 @@ def vertex_divisor(weights: EdgeWeights, vertex: tuple[int, int],
             points.append(DivisorPoint((i, j), oval_id, z0, w0))
             zeros_here += 1
         per_oval.append((oval_id, n, zeros_here))
-    for z0, w0 in candidate_nodes:
-        points.append(DivisorPoint((i, j), -1, float(z0), float(w0)))
     if len(points) != expected:
         raise RuntimeError(
             f"divisor count mismatch: found {len(points)}, expected "
@@ -175,26 +170,21 @@ def vertex_divisor(weights: EdgeWeights, vertex: tuple[int, int],
     return points
 
 
-def all_vertex_divisors(weights: EdgeWeights,
-                        candidate_nodes=()) -> dict[tuple[int, int], list[DivisorPoint]]:
+def all_vertex_divisors(weights: EdgeWeights) -> dict[tuple[int, int], list[DivisorPoint]]:
     """Divisors of every white vertex over one shared oval trace."""
     poly = characteristic_polynomial(weights)
     ovals = trace_real_ovals(poly)
     return {
-        (i, j): vertex_divisor(weights, (i, j), ovals=ovals,
-                               candidate_nodes=candidate_nodes)
+        (i, j): vertex_divisor(weights, (i, j), ovals=ovals)
         for i in range(weights.d) for j in range(weights.d)
     }
 
 
 def is_standard_divisor(points: list[DivisorPoint],
                         ovals: list[RealOval]) -> bool:
-    """True when every compact oval carries exactly one of the points;
-    candidate-node points (oval_id -1) are outside the per-oval count."""
+    """True when every compact oval carries exactly one of the points."""
     counts = {k: 0 for k, oval in enumerate(ovals) if oval.closed}
     for point in points:
-        if point.oval_id == -1:
-            continue
         if point.oval_id not in counts:
             return False
         counts[point.oval_id] += 1

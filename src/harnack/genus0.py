@@ -53,6 +53,37 @@ def _arc_order(alpha, beta, gamma):
     return None
 
 
+def _set_families(data, unordered: str) -> None:
+    """Validate and store the alpha, beta, gamma angles of ``data``.
+
+    Checks d >= 1, wraps each family into [0, 2pi), checks its length d and
+    stores it in arc traversal order; ``unordered`` is the error raised when
+    the families do not occupy three disjoint arcs in that order."""
+    d = int(data.d)
+    if d < 1:
+        raise ValueError("degree must be at least 1")
+    data.d = d
+    families = []
+    for name in ("alpha", "beta", "gamma"):
+        arr = _wrap_angles(getattr(data, name))
+        if arr.shape != (d,):
+            raise ValueError(f"{name} must have length d={d}")
+        families.append(arr)
+    orders = _arc_order(*families)
+    if orders is None:
+        raise ValueError(unordered)
+    data.alpha, data.beta, data.gamma = (arr[o] for arr, o in zip(families, orders))
+
+
+def _random_families(d: int, rng: np.random.Generator):
+    """Angle families from 3d+3 gaps drawn in [0.4, 1.2] and scaled to the
+    circle, so families stay in disjoint arcs with healthy separations."""
+    gaps = rng.uniform(0.4, 1.2, size=3 * d + 3)
+    gaps *= TWO_PI / gaps.sum()
+    positions = np.cumsum(gaps)
+    return positions[0:d], positions[d + 1:2 * d + 1], positions[2 * d + 2:3 * d + 2]
+
+
 @dataclass
 class Genus0Curve:
     """Sine-quotient parametrization data.
@@ -70,38 +101,18 @@ class Genus0Curve:
     rho_w: float = 1.0
 
     def __post_init__(self) -> None:
-        d = int(self.d)
-        if d < 1:
-            raise ValueError("degree must be at least 1")
-        self.d = d
-        for name in ("alpha", "beta", "gamma"):
-            arr = _wrap_angles(getattr(self, name))
-            if arr.shape != (d,):
-                raise ValueError(f"{name} must have length d={d}")
-            setattr(self, name, arr)
+        _set_families(self, "angle families not cyclically ordered")
         self.rho_z = float(self.rho_z)
         self.rho_w = float(self.rho_w)
         if self.rho_z <= 0.0 or self.rho_w <= 0.0:
             raise ValueError("prefactors must be positive")
-        orders = _arc_order(self.alpha, self.beta, self.gamma)
-        if orders is None:
-            raise ValueError("angle families not cyclically ordered")
-        self.alpha = self.alpha[orders[0]]
-        self.beta = self.beta[orders[1]]
-        self.gamma = self.gamma[orders[2]]
 
     @classmethod
-    def random(cls, d: int, rng: np.random.Generator,
-               rho_low: float = 0.5, rho_high: float = 2.0) -> "Genus0Curve":
-        """Draw a valid configuration: 3d+3 gaps bounded away from zero, so
-        families stay in disjoint arcs with healthy separations."""
-        gaps = rng.uniform(0.4, 1.2, size=3 * d + 3)
-        gaps *= TWO_PI / gaps.sum()
-        positions = np.cumsum(gaps)
-        alpha = positions[0:d]
-        beta = positions[d + 1:2 * d + 1]
-        gamma = positions[2 * d + 2:3 * d + 2]
-        log_lo, log_hi = np.log(rho_low), np.log(rho_high)
+    def random(cls, d: int, rng: np.random.Generator) -> "Genus0Curve":
+        """Draw a valid configuration: angle families in well separated
+        arcs, then log-uniform prefactors in [0.5, 2]."""
+        alpha, beta, gamma = _random_families(d, rng)
+        log_lo, log_hi = np.log(0.5), np.log(2.0)
         rho_z = float(np.exp(rng.uniform(log_lo, log_hi)))
         rho_w = float(np.exp(rng.uniform(log_lo, log_hi)))
         return cls(d, alpha, beta, gamma, rho_z, rho_w)
@@ -191,10 +202,11 @@ def _sample_parameters(curve: Genus0Curve, count: int, offset: float,
         radius *= 0.5
 
 
-def implicitize(curve: Genus0Curve, check_samples: int = 100) -> BivariatePolynomial:
+def implicitize(curve: Genus0Curve) -> BivariatePolynomial:
     """Recover the implicit polynomial of total degree d from samples of the
     parametrization, as the one-dimensional null space of a scaled monomial
-    collocation matrix."""
+    collocation matrix; 100 further samples must then give a relative
+    residual below 1e-9."""
     d = curve.d
     pairs = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
     n_unknowns = len(pairs)
@@ -221,7 +233,7 @@ def implicitize(curve: Genus0Curve, check_samples: int = 100) -> BivariatePolyno
     if anchor < 0:
         coeffs = -coeffs
     poly = BivariatePolynomial(d, coeffs)
-    t_check = _sample_parameters(curve, check_samples, offset=0.777)
+    t_check = _sample_parameters(curve, 100, offset=0.777)
     zc, wc = evaluate_parametrization(curve, t_check)
     scale = np.abs(BivariatePolynomial(d, np.abs(coeffs))(np.abs(zc), np.abs(wc)))
     worst = float(np.max(np.abs(poly(zc, wc)) / scale))
@@ -408,26 +420,27 @@ def _ordered(full: np.ndarray) -> bool:
     return bool(np.all(np.diff(full) > 0.0) and full[0] >= 0.0 and full[-1] < TWO_PI)
 
 
-def validate_boundary_triple(target: BoundaryTriple, tol: float = 1e-8) -> None:
-    """Reject targets outside the realizable sign/product pattern."""
+def validate_boundary_triple(target: BoundaryTriple) -> None:
+    """Reject targets outside the realizable sign/product pattern (product
+    constraint to 1e-8)."""
     sign_c = (-1.0) ** target.d
     if np.any(target.A <= 0) or np.any(target.B <= 0) or np.any(sign_c * target.C <= 0):
         raise ValueError("invalid boundary data: sign pattern not realizable")
-    if target.product_defect() > tol:
+    if target.product_defect() > 1e-8:
         raise ValueError(
             f"invalid boundary data: product constraint violated by "
             f"{target.product_defect():.3e}")
 
 
-def invert_boundary(target: BoundaryTriple, tol: float = 1e-10,
-                    max_steps: int = 50, with_stats: bool = False):
+def invert_boundary(target: BoundaryTriple, with_stats: bool = False):
     """Recover the unique gauge-fixed curve with the given boundary data.
 
     Gauge: alpha_1, beta_1, gamma_1 pinned to the canonical anchors, target
     rescaled to A_1 = B_1 = 1; the rescaling is undone on the way out.  Damped
     Newton with a least-squares step, Armijo backtracking, and a step clip of
-    half the smallest cyclic gap.  Raises on targets violating the sign or
-    product pattern and on stagnation."""
+    half the smallest cyclic gap, until the log residual is below 1e-10 in
+    every entry, in at most 50 steps.  Raises on targets violating the sign
+    or product pattern and on stagnation."""
     validate_boundary_triple(target)
     d = target.d
     scale_a = target.A[0]
@@ -451,6 +464,8 @@ def invert_boundary(target: BoundaryTriple, tol: float = 1e-10,
     def residual(al, be, ga, lr):
         return _log_boundary(al, be, ga, lr[0], lr[1]) - log_target
 
+    tol = 1e-10
+    max_steps = 50
     res = residual(alpha, beta, gamma, log_rho)
     steps = 0
     for steps in range(1, max_steps + 1):
@@ -579,29 +594,11 @@ class IsoradialAngles:
     gamma: np.ndarray
 
     def __post_init__(self) -> None:
-        d = int(self.d)
-        if d < 1:
-            raise ValueError("degree must be at least 1")
-        self.d = d
-        for name in ("alpha", "beta", "gamma"):
-            arr = _wrap_angles(getattr(self, name))
-            if arr.shape != (d,):
-                raise ValueError(f"{name} must have length d={d}")
-            setattr(self, name, arr)
-        orders = _arc_order(self.alpha, self.beta, self.gamma)
-        if orders is None:
-            raise ValueError("not isoradial")
-        self.alpha = self.alpha[orders[0]]
-        self.beta = self.beta[orders[1]]
-        self.gamma = self.gamma[orders[2]]
+        _set_families(self, "not isoradial")
 
     @classmethod
     def random(cls, d: int, rng: np.random.Generator) -> "IsoradialAngles":
-        gaps = rng.uniform(0.4, 1.2, size=3 * d + 3)
-        gaps *= TWO_PI / gaps.sum()
-        positions = np.cumsum(gaps)
-        return cls(d, positions[0:d], positions[d + 1:2 * d + 1],
-                   positions[2 * d + 2:3 * d + 2])
+        return cls(d, *_random_families(d, rng))
 
     @classmethod
     def from_curve(cls, curve: Genus0Curve) -> "IsoradialAngles":
@@ -638,30 +635,26 @@ class IsoradialReport:
     residual: float
     on_curve: bool
     origin_in_amoeba: bool
-    genus: int | None = None
 
 
-def isoradial_spectral_check(angles: IsoradialAngles, n_samples: int = 100,
-                             check_genus: bool = False) -> IsoradialReport:
+def isoradial_spectral_check(angles: IsoradialAngles) -> IsoradialReport:
     """Verify that the unit-prefactor parametrization lies on the spectral
-    curve of the isoradial weights (after the degree-parity sign flip) and
-    that the amoeba contains the origin."""
-    from .amoeba import amoeba_membership, detect_holes
+    curve of the isoradial weights (after the degree-parity sign flip), to a
+    relative residual of 1e-8 at 100 samples, and that the amoeba contains
+    the origin."""
+    from .amoeba import amoeba_membership
 
     weights = isoradial_weights(angles)
     poly = characteristic_polynomial(weights)
     curve = angles.as_curve()
-    t = _sample_parameters(curve, n_samples, offset=0.1234, pole_radius=1e-3)
+    t = _sample_parameters(curve, 100, offset=0.1234, pole_radius=1e-3)
     z, w = evaluate_parametrization(curve, t)
     sign = (-1.0) ** angles.d
     scale = np.abs(BivariatePolynomial(poly.d, np.abs(poly.coeffs))(np.abs(z), np.abs(w)))
     residual = float(np.max(np.abs(poly(sign * z, sign * w)) / scale))
     origin = amoeba_membership(poly, 0.0, 0.0)
-    genus = None
-    if check_genus:
-        genus = detect_holes(poly).genus
     return IsoradialReport(residual=residual, on_curve=residual < 1e-8,
-                           origin_in_amoeba=origin, genus=genus)
+                           origin_in_amoeba=origin)
 
 
 # ---------------------------------------------------------------------------
@@ -675,12 +668,13 @@ def _interior_log_moduli(curve: Genus0Curve, u: complex) -> np.ndarray:
     return np.array([np.log(abs(z)), np.log(abs(w))])
 
 
-def _shift_newton(curve: Genus0Curve, start: complex, tol: float = 1e-12):
+def _shift_newton(curve: Genus0Curve, start: complex):
+    """Damped Newton for |z(u)| = |w(u)| = 1 inside the disk, to 1e-12 in log modulus."""
     u = complex(start)
     h = 1e-7
     for _ in range(60):
         f = _interior_log_moduli(curve, u)
-        if np.max(np.abs(f)) < tol:
+        if np.max(np.abs(f)) < 1e-12:
             return u
         fx = (_interior_log_moduli(curve, u + h) - _interior_log_moduli(curve, u - h)) / (2 * h)
         fy = (_interior_log_moduli(curve, u + 1j * h) - _interior_log_moduli(curve, u - 1j * h)) / (2 * h)
@@ -705,7 +699,7 @@ def _shift_newton(curve: Genus0Curve, start: complex, tol: float = 1e-12):
     return None
 
 
-def find_isoradial_shift(curve: Genus0Curve, extra_starts=()):
+def find_isoradial_shift(curve: Genus0Curve):
     """Locate the unique disk point where both |z| and |w| equal 1 and
     transport the curve so that point becomes the disk center, producing unit
     prefactors.  Returns (zeta, shifted_curve), or None when the origin lies
@@ -718,7 +712,6 @@ def find_isoradial_shift(curve: Genus0Curve, extra_starts=()):
     starts = [0.0 + 0.0j]
     for radius in (0.35, 0.7):
         starts.extend(radius * np.exp(1j * np.linspace(0, TWO_PI, 9)[:-1]))
-    starts.extend(extra_starts)
     best = None
     for start in starts:
         u = _shift_newton(curve, start)

@@ -154,8 +154,7 @@ def _hole_to_json(hole: Hole) -> dict:
         "area": canonical_float(hole.area),
         "deep_point": [canonical_float(hole.deep_point[0]),
                        canonical_float(hole.deep_point[1])],
-        "intercept": canonical_float(hole.intercept)
-        if hole.intercept is not None else None,
+        "intercept": canonical_float(hole.intercept),
     }
 
 
@@ -220,8 +219,6 @@ def write_svg(grid: AmoebaGrid, report: HoleReport | None, path: str) -> None:
         for hole in report.holes:
             cx, cy = to_svg(*hole.deep_point)
             radius = max(3.0, np.sqrt(hole.pixel_count) * px * sx * 0.5)
-            intercept = ("none" if hole.intercept is None
-                         else format(hole.intercept, ".4g"))
             parts.append(
                 f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{radius:.2f}" '
                 'fill="none" stroke="#c1121f" stroke-width="2"/>')
@@ -229,7 +226,7 @@ def write_svg(grid: AmoebaGrid, report: HoleReport | None, path: str) -> None:
                 f'<text x="{cx + radius + 4:.2f}" y="{cy:.2f}" '
                 'font-family="monospace" font-size="13" fill="#c1121f">'
                 f'({hole.order[0]},{hole.order[1]}) '
-                f'area={hole.area:.4g} intercept={intercept}</text>')
+                f'area={hole.area:.4g} intercept={hole.intercept:.4g}</text>')
     parts.append("</svg>")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(parts) + "\n")

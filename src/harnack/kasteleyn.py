@@ -152,13 +152,13 @@ def _det_grid(weights: EdgeWeights, r_z: float, r_w: float) -> np.ndarray:
     return dets
 
 
-def characteristic_polynomial(weights: EdgeWeights, check_tol: float = 1e-9) -> BivariatePolynomial:
+def characteristic_polynomial(weights: EdgeWeights) -> BivariatePolynomial:
     """P(z, w) = det K(z, w) recovered by inverse DFT of determinant samples.
 
     Samples on the unit torus are rescaled when the determinant magnitudes
     span more than twelve decades; residual imaginary parts or coefficients
-    outside the Newton triangle above ``check_tol`` (relative to the largest
-    coefficient) raise an error.
+    outside the Newton triangle above 1e-9 of the largest coefficient raise
+    an error.
     """
     d = weights.d
     r_z = r_w = 1.0
@@ -177,12 +177,13 @@ def characteristic_polynomial(weights: EdgeWeights, check_tol: float = 1e-9) -> 
     top = np.max(np.abs(raw))
     if top == 0.0:
         raise ValueError("interpolation inconsistency")
-    if np.max(np.abs(raw.imag)) > check_tol * top:
+    bound = 1e-9 * top
+    if np.max(np.abs(raw.imag)) > bound:
         raise ValueError("interpolation inconsistency")
     coeffs = raw.real.copy()
     ii, jj = np.indices(coeffs.shape)
     outside = ii + jj > d
-    if np.max(np.abs(coeffs[outside]), initial=0.0) > check_tol * top:
+    if np.max(np.abs(coeffs[outside]), initial=0.0) > bound:
         raise ValueError("interpolation inconsistency")
     coeffs[outside] = 0.0
     if coeffs[0, 0] < 0:
@@ -228,7 +229,7 @@ _ORIENTATION_FOR_FAMILY = {
 }
 
 
-def verify_boundary_vs_zigzag(weights: EdgeWeights, tol: float = 1e-8) -> ZigZagComparison:
+def verify_boundary_vs_zigzag(weights: EdgeWeights) -> ZigZagComparison:
     """Match curve boundary points against zig-zag alternating products.
 
     Horizontal cycles must reproduce the w = 0 roots, vertical cycles the

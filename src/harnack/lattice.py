@@ -74,10 +74,10 @@ class EdgeWeights:
         return cls(d, block, block, block)
 
     @classmethod
-    def random(cls, d: int, rng: np.random.Generator, low: float = 0.2, high: float = 2.0) -> "EdgeWeights":
-        """Log-uniform positive weights, handy for randomized tests."""
+    def random(cls, d: int, rng: np.random.Generator) -> "EdgeWeights":
+        """Log-uniform positive weights in [0.2, 2], handy for randomized tests."""
         def draw():
-            return np.exp(rng.uniform(math.log(low), math.log(high), size=(d, d)))
+            return np.exp(rng.uniform(math.log(0.2), math.log(2.0), size=(d, d)))
 
         return cls(d, draw(), draw(), draw())
 

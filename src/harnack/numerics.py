@@ -63,7 +63,7 @@ class ComplexPoly:
         return ComplexPoly(self.coeffs[1:] * k)
 
 
-def _aberth(coeffs: np.ndarray, max_iter: int = 200) -> np.ndarray:
+def _aberth(coeffs: np.ndarray) -> np.ndarray:
     """All roots of an ascending-coefficient polynomial, degree >= 1."""
     n = coeffs.size - 1
     monic = coeffs / coeffs[-1]
@@ -89,7 +89,7 @@ def _aberth(coeffs: np.ndarray, max_iter: int = 200) -> np.ndarray:
             out = out * x + ck
         return out
 
-    for _ in range(max_iter):
+    for _ in range(200):
         pv = horner(monic, z)
         dv = horner(dcoef, z)
         dv = np.where(dv == 0, 1e-300, dv)
@@ -207,14 +207,15 @@ def _refine_multiple(coeffs: np.ndarray, group: list[complex]):
     return z
 
 
-def roots(p: ComplexPoly | np.ndarray, cluster_tol: float = 1e-6) -> list[complex]:
+def roots(p: ComplexPoly | np.ndarray) -> list[complex]:
     """All roots, with multiplicity; near-coincident roots are merged to centroids.
 
     Residuals satisfy |p(r)| <= 1e-10 * max|coeff| * max(1,|r|)^deg at simple
     roots. Groups of nearly coincident roots are detected at a coarse radius,
     re-polished with multiplicity-m Newton steps, and merged only when the
     local Taylor expansion certifies an m-fold root; otherwise they fall back
-    to the plain ``cluster_tol`` merge.
+    to a plain merge of roots closer than 1e-6 (relative to the largest root
+    modulus, at least 1).
     """
     if not isinstance(p, ComplexPoly):
         p = ComplexPoly(p)
@@ -251,7 +252,7 @@ def roots(p: ComplexPoly | np.ndarray, cluster_tol: float = 1e-6) -> list[comple
     for v, m in pool:
         flat.extend([v] * m)
     out: list[complex] = []
-    for centroid, mult in cluster_values(flat, cluster_tol * scale):
+    for centroid, mult in cluster_values(flat, 1e-6 * scale):
         out.extend([centroid] * mult)
     return out
 
@@ -299,18 +300,19 @@ def _eval_periodic(f, theta: np.ndarray) -> np.ndarray:
     return np.array([float(f(t)) for t in theta])
 
 
-def periodic_quadrature(f, n: int = 64, tol: float = 1e-10, cap: int = 2 ** 16) -> QuadratureResult:
+def periodic_quadrature(f, n: int = 64) -> QuadratureResult:
     """Trapezoid rule over [0, 2pi) with doubling until successive estimates agree.
 
-    Spectrally accurate for smooth periodic integrands. Non-convergence at the
-    sample cap is flagged, not fatal.
+    Starts from ``n`` samples and doubles until two estimates differ by less
+    than 1e-10. Spectrally accurate for smooth periodic integrands.
+    Non-convergence at the 2^16-sample cap is flagged, not fatal.
     """
     if n < 8:
         raise ValueError("need at least 8 samples")
     theta = 2.0 * np.pi * np.arange(n) / n
     vals = _eval_periodic(f, theta)
     estimate = 2.0 * np.pi * float(np.mean(vals))
-    while n < cap:
+    while n < 2 ** 16:
         # refine by sampling the midpoints of the current grid
         mids = theta + np.pi / n
         new_vals = _eval_periodic(f, mids)
@@ -321,7 +323,7 @@ def periodic_quadrature(f, n: int = 64, tol: float = 1e-10, cap: int = 2 ** 16) 
         vals = merged
         theta = 2.0 * np.pi * np.arange(n) / n
         new_estimate = 2.0 * np.pi * float(np.mean(vals))
-        done = abs(new_estimate - estimate) < tol
+        done = abs(new_estimate - estimate) < 1e-10
         estimate = new_estimate
         if done:
             return QuadratureResult(estimate, n, True)
@@ -342,14 +344,13 @@ def integrate_periodic_kinked(
     f,
     kinks,
     tol: float = 1e-11,
-    max_rounds: int = 30,
 ) -> QuadratureResult:
     """Integrate a vectorized periodic function over [0, 2pi) with kink splitting.
 
     Panels between consecutive kink angles are integrated with nested
     Gauss-Legendre rules (16 vs 32 points) and bisected until the local error
     estimates sum below ``tol``; integrands analytic between kinks converge in
-    a couple of rounds.
+    a couple of rounds. After 30 rounds the result is flagged unconverged.
     """
     kk = np.sort(np.mod(np.asarray(list(kinks), dtype=float), 2.0 * np.pi))
     if kk.size == 0:
@@ -374,7 +375,7 @@ def integrate_periodic_kinked(
     err_total = 0.0
     work = panels
     n_evals = 0
-    for round_idx in range(max_rounds):
+    for _ in range(30):
         results = [panel_pair(lo, hi) for lo, hi in work]
         n_evals += 48 * len(work)
         budget = tol * max(1.0, abs(total) + abs(sum(v for v, _ in results)))

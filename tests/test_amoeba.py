@@ -188,6 +188,18 @@ class TestRaster:
         # far from every tentacle nothing is near the root-modulus pool
         assert rasterize_amoeba(poly, window=(20.0, 22.0, -22.0, -20.0), nx=16, ny=16).refined == 0
 
+    def test_interior_never_marks_the_frame(self):
+        # members on opposite frame edges are neighbours under a wrap-around
+        # erosion; no frame pixel may count as interior
+        mask = np.zeros((6, 8), dtype=bool)
+        mask[[0, 1, -2, -1], :] = True
+        mask[:, [0, -1]] = True
+        assert not amoeba_mod._interior(mask).any()
+        full = np.ones((5, 6), dtype=bool)
+        expected = np.zeros_like(full)
+        expected[1:-1, 1:-1] = True
+        assert np.array_equal(amoeba_mod._interior(full), expected)
+
     def test_window_must_have_extent(self, line_poly):
         with pytest.raises(ValueError, match="window must have positive extent"):
             rasterize_amoeba(line_poly, window=(1.0, 1.0, 0.0, 1.0), nx=16, ny=16)

@@ -222,7 +222,7 @@ class TestVerifyHarnack:
         coeffs = base.coeffs.copy()
         coeffs[1, 1] *= 0.90
         pfile = write_poly(tmp_path / "p.json", BivariatePolynomial(3, coeffs))
-        code, out, _ = run(capsys, ["verify-harnack", "--poly", pfile])
+        code, out, _ = run(capsys, ["verify-harnack", "--poly", pfile, "--resolution", "200"])
         assert code == 1
         payload = json.loads(out)
         assert payload["passed"] is False
