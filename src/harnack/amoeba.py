@@ -1112,6 +1112,7 @@ def verify_harnack(
     Checks: real constant-sign boundary points, amoeba area pi^2 d^2 / 2 to
     relative 0.02, 2-to-1 covering at 10 random interior points, and compact
     ovals consistent with the hole count and the genus bound (d-1)(d-2)/2.
+    A failed boundary or area check returns at once, without the later checks.
     """
     checks: dict[str, bool] = {}
     details: dict[str, object] = {}
@@ -1139,6 +1140,8 @@ def verify_harnack(
     details["area_target"] = target
     details["boundary_multiplicity"] = mult
     details["area_window_pad"] = pad
+    if not checks["area"]:
+        return HarnackCertificate(checks=checks, details=details)
 
     report = detect_holes(poly, grid=grid)
     details["genus"] = report.genus

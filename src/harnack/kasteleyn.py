@@ -9,18 +9,30 @@ needs no extra sign twist. The characteristic polynomial
     P(z, w) = det K(z, w) = sum_{i+j <= d} p_ij z^i w^j
 
 has Newton polygon contained in the triangle with vertices (0,0), (d,0),
-(0,d), and its coefficients are recovered exactly from determinant samples on
-a (d+1) x (d+1) product grid of scaled roots of unity.
+(0,d). Its coefficients are read off batched determinants: K is built for
+a whole batch of samples from one sparsity pattern (``assemble_K`` is the
+one-sample case), and ``np.linalg.det`` takes the batch in chunks.
+
+The magnetic field (x, y) of Kenyon, Okounkov and Sheffield ("Dimers and
+amoebae"), as in ``apply_magnetic_field``, scales every a-edge by e^{x/d}
+and every b-edge by e^{y/d}: K stays balanced and p_ij becomes
+p_ij e^{ix+jy}. The inverse DFT of det K over the (d+1) x (d+1)
+roots-of-unity grid of that torus returns every p_ij e^{ix+jy} with an
+absolute error of about eps * sum_kl |p_kl| e^{kx+ly}, so a coefficient is
+accurate on the tori where its own term is a large share of that sum. Each
+coefficient is read on the sampled torus where its relative error bound is
+smallest; the tori are chosen by greedy cover (``characteristic_polynomial``).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import EdgeWeights, all_zigzag_products
-from .numerics import det_complex, roots
+from .lattice import MAX_DOMAIN, EdgeWeights, all_zigzag_products
+from .numerics import roots
 
 __all__ = [
     "BivariatePolynomial",
@@ -124,68 +136,223 @@ class ZigZagComparison:
         return self.max_rel_error < tol
 
 
-def assemble_K(weights: EdgeWeights, z: complex, w: complex) -> np.ndarray:
-    """Kasteleyn matrix at Bloch phases (z, w); rows white, columns black."""
-    d = weights.d
+_EPS = float(np.finfo(float).eps)
+# relative error bound of a coefficient: below _COVERED it needs no further
+# torus, above _TRUSTED on every sampled torus it is an error
+_COVERED = 3e-15
+_TRUSTED = 1e-9
+# greedy-cover rounds after the unit torus; each round re-estimates |p_ij|
+_ROUNDS = 2
+# a coefficient within this factor of the best bound the grid offers is done
+_SLACK = 10.0
+# candidate fields per axis: the 61 x 61 grid of step 1 on [-30, 30]
+_FIELDS = np.linspace(-30.0, 30.0, 61)
+# the candidate tori (_X[t], _Y[t]), row-major over _FIELDS^2
+_X, _Y = (v.ravel() for v in np.meshgrid(_FIELDS, _FIELDS, indexing="ij"))
+_UNIT = len(_X) // 2  # the unit torus (0, 0)
+# bytes of the matrices handed to one np.linalg.det call, and of one array
+# of a search chunk (a chunk makes a few such arrays)
+_CHUNK_BYTES = 256 * 1024
+_SEARCH_BYTES = 64 * 1024
+# weight sets whose characteristic polynomial is kept
+_MEMO_SIZE = 128
+
+
+@functools.lru_cache(maxsize=MAX_DOMAIN)
+def _sparsity(d: int):
+    """Row of each white vertex (row-major), the columns of its a- and
+    b-edges, and whether each of those edges crosses its period."""
+    rows = np.arange(d * d)
+    i, j = np.divmod(rows, d)
+    return rows, i * d + (j + 1) % d, (i + 1) % d * d + j, j == d - 1, i == d - 1
+
+
+def _kasteleyn_batch(a, b, c, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """K(z_s, w_s) for every sample s, shape (len(z), d^2, d^2).
+
+    ``c`` is the (d, d) array of c-weights; ``a`` and ``b`` are (d, d) or
+    hold one (d, d) array per sample."""
+    d = c.shape[0]
     n = d * d
-    K = np.zeros((n, n), dtype=complex)
-    a, b, c = weights.a, weights.b, weights.c
-    for i in range(d):
-        for j in range(d):
-            row = i * d + j
-            K[row, i * d + j] += c[i, j]
-            jz = (j + 1) % d
-            K[row, i * d + jz] += a[i, j] * (z if j == d - 1 else 1.0)
-            ib = (i + 1) % d
-            K[row, ib * d + j] += b[i, j] * (w if i == d - 1 else 1.0)
+    rows, col_a, col_b, wrap_a, wrap_b = _sparsity(d)
+    K = np.zeros((len(z), n, n), dtype=complex)
+    K[:, rows, rows] = c.ravel()
+    # one edge type per statement: at d = 1 all three share K[0, 0] and add up
+    K[:, rows, col_a] += a.reshape(-1, n) * np.where(wrap_a, z[:, None], 1.0)
+    K[:, rows, col_b] += b.reshape(-1, n) * np.where(wrap_b, w[:, None], 1.0)
     return K
 
 
-def _det_grid(weights: EdgeWeights, r_z: float, r_w: float) -> np.ndarray:
-    d = weights.d
-    n = d + 1
-    zeta = np.exp(2j * np.pi / n)
-    dets = np.empty((n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            dets[k, l] = det_complex(assemble_K(weights, r_z * zeta ** k, r_w * zeta ** l))
-    return dets
+def assemble_K(weights: EdgeWeights, z: complex, w: complex) -> np.ndarray:
+    """Kasteleyn matrix at Bloch phases (z, w); rows white, columns black."""
+    return _kasteleyn_batch(weights.a, weights.b, weights.c,
+                            np.array([z], dtype=complex), np.array([w], dtype=complex))[0]
+
+
+def _torus_readings(weights: EdgeWeights, tori: list):
+    """Inverse DFT of det K over the (d+1)^2 roots-of-unity grid of each
+    candidate torus t, under the magnetic field (x, y) = (_X[t], _Y[t]).
+
+    As in ``apply_magnetic_field``, every a-edge is scaled by f = e^{x/d}
+    and every b-edge by g = e^{y/d}. Returns the readings r, whose entry
+    [t, i, j] is p_ij f^{di} g^{dj} inside the triangle, and those factors
+    f^{di} g^{dj} computed from the rounded f and g the samples used (1
+    outside the triangle). Residual imaginary
+    parts or entries outside the Newton triangle above 1e-9 of a torus's
+    largest entry raise."""
+    d, n = weights.d, weights.d + 1
+    f = np.exp(_X[tori] / d)[:, None, None]
+    g = np.exp(_Y[tori] / d)[:, None, None]
+    a, b = weights.a * f, weights.b * g
+    unit = np.exp(2j * np.pi * np.arange(n) / n)
+    torus = np.repeat(np.arange(len(tori)), n * n)
+    z = np.tile(np.repeat(unit, n), len(tori))
+    w = np.tile(unit, n * len(tori))
+    step = max(1, _CHUNK_BYTES // (16 * d ** 4))
+    dets = np.concatenate([
+        np.linalg.det(_kasteleyn_batch(a[torus[s:s + step]], b[torus[s:s + step]],
+                                       weights.c, z[s:s + step], w[s:s + step]))
+        for s in range(0, len(z), step)])
+    readings = np.fft.fft2(dets.reshape(len(tori), n, n)) / n ** 2
+    ii, jj = np.indices((n, n))
+    for raw in readings:
+        top = np.max(np.abs(raw))
+        outside = np.max(np.abs(raw[ii + jj > d]), initial=0.0)
+        if top == 0.0 or max(np.max(np.abs(raw.imag)), outside) > 1e-9 * top:
+            raise RuntimeError("interpolation inconsistency")
+    # outside the triangle the factor is 1: those entries only feed the check
+    inside = ii + jj <= d
+    return readings, f ** (d * ii * inside) * g ** (d * jj * inside)
+
+
+def _best_readings(readings: np.ndarray, factors: np.ndarray, inside: np.ndarray):
+    """Each coefficient from the torus where its error bound is smallest.
+
+    On torus t the readings r_t carry the noise n_t = eps * sum_kl |r_tkl|
+    over the triangle, and the bound of p_ij is n_t / |r_tij|. Returns the
+    coefficients, their bounds and magnitudes, each (d+1, d+1). The
+    magnitude is the least (|r_tij| + n_t) / factor_tij over the
+    tori: near |p_ij| where some torus resolves it, and an upper bound of
+    |p_ij| where every reading is noise."""
+    mags = np.abs(readings)
+    noise = _EPS * mags[:, inside].sum(axis=1)[:, None, None]
+    with np.errstate(divide="ignore"):
+        bounds = noise / mags
+    best = np.argmin(bounds, axis=0)[None]
+    return (np.take_along_axis(readings.real / factors, best, 0)[0],
+            np.take_along_axis(bounds, best, 0)[0],
+            np.min((mags + noise) / factors, axis=0))
+
+
+def _log_noise(log_est: np.ndarray, ki: np.ndarray, kj: np.ndarray) -> np.ndarray:
+    """log(eps * sum_k est_k e^{ki_k x + kj_k y}) at every candidate torus,
+    with est = exp(log_est) the coefficient magnitudes at exponents (ki, kj)."""
+    out = np.empty(len(_X))
+    step = max(1, _SEARCH_BYTES // (8 * len(log_est)))
+    for s in range(0, len(_X), step):
+        lin = log_est + _X[s:s + step, None] * ki + _Y[s:s + step, None] * kj
+        top = lin.max(axis=1, keepdims=True)
+        out[s:s + step] = (top + np.log(np.exp(lin - top).sum(axis=1, keepdims=True)))[:, 0]
+    return np.log(_EPS) + out
+
+
+def _cover(bounds: np.ndarray, magnitudes: np.ndarray, inside: np.ndarray,
+           tori: list) -> list:
+    """Candidate indices of new tori, by greedy cover, with |p_kl| estimated
+    by ``magnitudes``.
+
+    The predicted log bound of coefficient c on candidate t = (x, y) is
+    log_noise(t) - log(est_c e^{i_c x + j_c y}). A coefficient's target is
+    _COVERED, or _SLACK times the best bound an untaken candidate predicts
+    for it when that is larger. Coefficients whose bound is above their
+    target are covered by the candidates that predict at most the target.
+    Each step takes the candidate that covers the most, and among those the
+    one with the smallest sum of log bounds over what it covers. The tori
+    already sampled are no candidates."""
+    ii, jj = np.indices(inside.shape)
+    ki, kj = ii[inside], jj[inside]
+    with np.errstate(divide="ignore"):
+        log_est = np.log(magnitudes[inside])
+        log_now = np.log(bounds[inside])
+    noise = _log_noise(log_est, ki, kj)
+    noise[tori] = np.inf
+
+    def search(cols):
+        step = max(1, _SEARCH_BYTES // (8 * len(cols)))
+        for s in range(0, len(_X), step):
+            own = log_est[cols] + _X[s:s + step, None] * ki[cols] + _Y[s:s + step, None] * kj[cols]
+            yield s, noise[s:s + step, None] - own
+
+    cols = np.flatnonzero(log_now > np.log(_COVERED))
+    if not len(cols):
+        return []
+    best = np.full(len(cols), np.inf)
+    for _, chunk in search(cols):
+        best = np.minimum(best, chunk.min(axis=0))
+    target = np.maximum(np.log(_COVERED), best + np.log(_SLACK))
+    open_ = log_now[cols] > target
+    cols, target = cols[open_], target[open_]
+    picks = []
+    while len(cols):
+        top = None
+        for start, chunk in search(cols):
+            hits = chunk <= target
+            count = hits.sum(axis=1)
+            score = np.where(hits, chunk, 0.0).sum(axis=1)
+            k = np.lexsort((score, -count))[0]
+            if top is None or (-count[k], score[k]) < top[0]:
+                top = (-count[k], score[k]), start + k, hits[k]
+        _, k, hit = top
+        picks.append(int(k))
+        cols, target = cols[~hit], target[~hit]
+    return picks
 
 
 def characteristic_polynomial(weights: EdgeWeights) -> BivariatePolynomial:
-    """P(z, w) = det K(z, w) recovered by inverse DFT of determinant samples.
+    """P(z, w) = det K(z, w), each coefficient read on a balanced torus.
 
-    Samples on the unit torus are rescaled when the determinant magnitudes
-    span more than twelve decades; residual imaginary parts or coefficients
-    outside the Newton triangle above 1e-9 of the largest coefficient raise
-    an error.
+    The relative error bound of p_ij on the torus (x, y) is
+    eps * sum_kl |p_kl| e^{(k-i)x+(l-j)y} / |p_ij|. The unit torus is
+    sampled first. While some coefficient's bound is above 3e-15 (or above
+    10 times the best bound the candidate grid offers it), at most twice,
+    tori from the grid of step 1 on [-30, 30]^2 are added by greedy cover,
+    with the |p_kl| estimated from the tori sampled so far. A coefficient
+    whose best bound stays above 1e-9, a residual imaginary part, or a
+    coefficient outside the Newton triangle above 1e-9 of a torus's largest
+    one raises RuntimeError ("interpolation inconsistency"). The sign makes
+    p_00 positive.
+
+    Equal weights give the same immutable result: the last 128 weight sets
+    are memoised by d and the bytes of a, b and c.
     """
-    d = weights.d
-    r_z = r_w = 1.0
-    dets = _det_grid(weights, r_z, r_w)
-    mags = np.abs(dets)
-    if mags.min() == 0.0 or mags.max() / max(mags.min(), 1e-300) > 1e12:
-        r_z = float(np.prod(weights.c / weights.a) ** (1.0 / d ** 2))
-        r_w = float(np.prod(weights.c / weights.b) ** (1.0 / d ** 2))
-        dets = _det_grid(weights, r_z, r_w)
+    return _memo_polynomial(weights.d, weights.a.tobytes(), weights.b.tobytes(),
+                            weights.c.tobytes())
 
-    raw = np.fft.fft2(dets) / (d + 1) ** 2
-    i_idx = np.arange(d + 1)
-    scale = np.outer(r_z ** i_idx.astype(float), r_w ** i_idx.astype(float))
-    raw = raw / scale
 
-    top = np.max(np.abs(raw))
-    if top == 0.0:
-        raise ValueError("interpolation inconsistency")
-    bound = 1e-9 * top
-    if np.max(np.abs(raw.imag)) > bound:
-        raise ValueError("interpolation inconsistency")
-    coeffs = raw.real.copy()
-    ii, jj = np.indices(coeffs.shape)
-    outside = ii + jj > d
-    if np.max(np.abs(coeffs[outside]), initial=0.0) > bound:
-        raise ValueError("interpolation inconsistency")
-    coeffs[outside] = 0.0
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _memo_polynomial(d: int, a: bytes, b: bytes, c: bytes) -> BivariatePolynomial:
+    weights = EdgeWeights(d, *(np.frombuffer(v).reshape(d, d) for v in (a, b, c)))
+    ii, jj = np.indices((d + 1, d + 1))
+    inside = ii + jj <= d
+    tori = [_UNIT]
+    readings, factors = _torus_readings(weights, tori)
+    for _ in range(_ROUNDS):
+        _, bounds, magnitudes = _best_readings(readings, factors, inside)
+        picks = _cover(bounds, magnitudes, inside, tori)
+        if not picks:
+            break
+        tori += picks
+        more, more_factors = _torus_readings(weights, picks)
+        readings = np.concatenate([readings, more])
+        factors = np.concatenate([factors, more_factors])
+    coeffs, bounds, _ = _best_readings(readings, factors, inside)
+    worst = np.max(np.where(inside, bounds, 0.0))
+    if not worst <= _TRUSTED:
+        i, j = np.unravel_index(np.argmax(np.where(inside, bounds, 0.0)), bounds.shape)
+        raise RuntimeError(
+            f"interpolation inconsistency: coefficient of z^{i} w^{j} known "
+            f"only to {worst:.1e} relative on {len(tori)} tori")
+    coeffs[~inside] = 0.0
     if coeffs[0, 0] < 0:
         coeffs = -coeffs
     return BivariatePolynomial(d, coeffs)

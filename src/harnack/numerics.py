@@ -1,7 +1,8 @@
 """Shared numerical kernels.
 
-Complex univariate root finding (Aberth-Ehrlich with Newton polish),
-partial-pivot LU determinants, periodic trapezoid quadrature with
+Complex univariate root finding (Aberth-Ehrlich with Newton polish), a
+partial-pivot LU determinant (a reference for tests; the Kasteleyn layer
+takes batched ``np.linalg.det``), periodic trapezoid quadrature with
 doubling, and a panel-adaptive Gauss-Legendre integrator for periodic
 integrands with known kink locations.
 """

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from harnack import EdgeWeights, Genus0Curve, IsoradialAngles, boundary_map, sample_interior
+from harnack import EdgeWeights, Genus0Curve, IsoradialAngles, boundary_map, kasteleyn, sample_interior
 from harnack import io as hio
 from harnack.cli import main
 from harnack.kasteleyn import BivariatePolynomial, characteristic_polynomial
@@ -63,6 +63,16 @@ class TestSpectral:
         assert run(capsys, ["spectral", "--weights", wfile, "--out", str(out1)])[0] == 0
         assert run(capsys, ["spectral", "--weights", wfile, "--out", str(out2)])[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_uncovered_coefficient_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the unit torus alone cannot resolve the small coefficients of d = 8
+        monkeypatch.setattr(kasteleyn, "_ROUNDS", 0)
+        wfile = write_weights(tmp_path / "w.json", EdgeWeights.random(8, np.random.default_rng(809)))
+        code, out, err = run(capsys, ["spectral", "--weights", wfile])
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["kind"] == "no-convergence"
+        assert "interpolation inconsistency" in payload["error"]
 
 
 class TestBoundary:

@@ -1,11 +1,15 @@
 """Kasteleyn matrix assembly and the characteristic polynomial det K."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from harnack import kasteleyn
+from harnack.genus0 import IsoradialAngles, isoradial_weights
 from harnack.kasteleyn import (
     BivariatePolynomial,
     assemble_K,
@@ -69,6 +73,21 @@ class TestAssembly:
         assert k[0, 0] == pytest.approx(5.0 + 2.0 * z + 3.0 * v, rel=1e-14)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_entrywise_loop(self, d):
+        # reference: one entry per edge, each added in turn (at d = 1 all
+        # three land on K[0, 0])
+        w = EdgeWeights.random(d, np.random.default_rng(60 + d))
+        z, v = 0.7 - 1.3j, -0.2 + 0.9j
+        ref = np.zeros((d * d, d * d), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                row = i * d + j
+                ref[row, row] += w.c[i, j]
+                ref[row, i * d + (j + 1) % d] += w.a[i, j] * (z if j == d - 1 else 1.0)
+                ref[row, (i + 1) % d * d + j] += w.b[i, j] * (v if i == d - 1 else 1.0)
+        assert np.array_equal(assemble_K(w, z, v), ref)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_polynomial_reproduces_determinant(self, d):
         # dual route: interpolated coefficients against direct LU determinants
         w = EdgeWeights.random(d, np.random.default_rng(d))
@@ -124,6 +143,122 @@ class TestCharacteristicPolynomial:
         j = np.arange(4)[None, :]
         expected = base * np.exp(i * bx + j * by)
         assert_allclose(moved, expected, rtol=1e-9, atol=1e-9 * np.max(np.abs(expected)))
+
+
+def _bareiss(matrix) -> int:
+    """Exact determinant of an integer matrix by fraction-free elimination."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def _lagrange_inverse(n: int) -> list:
+    """inv[i][k] = coefficient of x^i in the Lagrange basis polynomial of
+    node k on the nodes 0..n-1: the inverse of the Vandermonde matrix."""
+    inv = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        poly = [Fraction(1)]
+        for m in range(n):
+            if m != k:
+                # poly * (x - m) / (k - m)
+                poly = [(lo - m * hi) / (k - m)
+                        for lo, hi in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
+        for i in range(n):
+            inv[i][k] = poly[i]
+    return inv
+
+
+def _exact_coefficients(weights: EdgeWeights) -> list:
+    """Every p_ij of det K as a Fraction.
+
+    Floats are dyadic rationals, so one power of two scales all weights to
+    integers; det K at the integer samples (z, w) in {0..d}^2 is then an
+    exact integer, and the tensor Lagrange interpolation is exact."""
+    d = weights.d
+    arrays = (weights.a, weights.b, weights.c)
+    den = max(float(v).as_integer_ratio()[1] for arr in arrays for v in arr.flat)
+
+    def scaled(arr):
+        return [[num * (den // q) for num, q in (float(v).as_integer_ratio() for v in row)]
+                for row in arr]
+
+    a, b, c = (scaled(arr) for arr in arrays)
+
+    def kmat(z, w):
+        k = [[0] * (d * d) for _ in range(d * d)]
+        for i in range(d):
+            for j in range(d):
+                row = i * d + j
+                k[row][row] += c[i][j]
+                k[row][i * d + (j + 1) % d] += a[i][j] * (z if j == d - 1 else 1)
+                k[row][(i + 1) % d * d + j] += b[i][j] * (w if i == d - 1 else 1)
+        return k
+
+    dets = [[_bareiss(kmat(z, w)) for w in range(d + 1)] for z in range(d + 1)]
+    inv = _lagrange_inverse(d + 1)
+    scale = Fraction(den) ** (d * d)
+    return [[sum(inv[i][k] * inv[j][l] * dets[k][l]
+                 for k in range(d + 1) for l in range(d + 1)) / scale
+             for j in range(d + 1)] for i in range(d + 1)]
+
+
+def _oracle_model(kind: str, d: int) -> EdgeWeights:
+    if kind == "random":
+        return EdgeWeights.random(d, np.random.default_rng(1000 * d))
+    return isoradial_weights(IsoradialAngles.random(d, np.random.default_rng(1000 * d + 1)))
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize("kind", ["random", "isoradial"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_every_coefficient_to_1e13(self, kind, d):
+        weights = _oracle_model(kind, d)
+        exact = _exact_coefficients(weights)
+        sign = 1 if exact[0][0] > 0 else -1
+        coeffs = characteristic_polynomial(weights).coeffs
+        for i in range(d + 1):
+            for j in range(d + 1):
+                if i + j > d:
+                    assert exact[i][j] == 0 and coeffs[i, j] == 0.0
+                    continue
+                truth = sign * exact[i][j]
+                err = abs(Fraction(float(coeffs[i, j])) - truth) / abs(truth)
+                assert err <= 1e-13, (i, j, float(err))
+
+
+class TestBalancedTori:
+    def test_uncovered_coefficient_raises(self, monkeypatch):
+        # the unit torus alone cannot resolve the small coefficients of d = 8
+        monkeypatch.setattr(kasteleyn, "_ROUNDS", 0)
+        with pytest.raises(RuntimeError, match="interpolation inconsistency"):
+            characteristic_polynomial(EdgeWeights.random(8, np.random.default_rng(808)))
+
+    def test_equal_weights_give_the_same_polynomial(self):
+        first = characteristic_polynomial(EdgeWeights.random(4, np.random.default_rng(41)))
+        again = characteristic_polynomial(EdgeWeights.random(4, np.random.default_rng(41)))
+        assert again is first
+        assert not first.coeffs.flags.writeable
+
+    def test_changed_weight_gives_a_new_polynomial(self):
+        w = EdgeWeights.random(3, np.random.default_rng(42))
+        c = w.c.copy()
+        c[1, 2] *= 1.5
+        base = characteristic_polynomial(w)
+        moved = characteristic_polynomial(EdgeWeights(3, w.a, w.b, c))
+        assert moved is not base
+        assert not np.array_equal(moved.coeffs, base.coeffs)
 
 
 class TestBoundaryPoints:
