@@ -17,7 +17,14 @@ from harnack.kasteleyn import (
     characteristic_polynomial,
     verify_boundary_vs_zigzag,
 )
-from harnack.lattice import EdgeWeights, GaugeVector, apply_gauge, apply_magnetic_field
+from harnack.lattice import (
+    MAX_DOMAIN,
+    EdgeWeights,
+    GaugeVector,
+    all_zigzag_products,
+    apply_gauge,
+    apply_magnetic_field,
+)
 from harnack.numerics import det_complex
 
 seeds = st.integers(0, 10**9)
@@ -251,6 +258,34 @@ class TestBalancedTori:
         assert again is first
         assert not first.coeffs.flags.writeable
 
+    def test_torus_that_reads_nothing_is_ignored(self, monkeypatch):
+        # a torus whose determinants overflowed reads NaN: it must not become
+        # the best reading of any coefficient or spoil the estimates
+        w = EdgeWeights.random(6, np.random.default_rng(61))
+        clean = characteristic_polynomial(w).coeffs
+        kasteleyn._memo_polynomial.cache_clear()
+        sample = kasteleyn._torus_readings
+
+        def with_a_dead_torus(weights, fields):
+            readings, mantissa, exponent = sample(weights, fields)
+            return (np.concatenate([readings, np.full_like(readings[:1], np.nan)]),
+                    np.concatenate([mantissa, mantissa[:1]]),
+                    np.concatenate([exponent, exponent[:1]]))
+
+        monkeypatch.setattr(kasteleyn, "_torus_readings", with_a_dead_torus)
+        assert np.array_equal(characteristic_polynomial(w).coeffs, clean)
+
+    def test_weights_near_overflow(self):
+        # det K of these weights overflows away from the unit torus; every
+        # torus is rescaled by a power of two, so P is exactly that of the
+        # small weights times 2^(60 d^2) up to the choice of fields
+        w = EdgeWeights.random(4, np.random.default_rng(62))
+        big = EdgeWeights(4, *(np.ldexp(v, 60) for v in (w.a, w.b, w.c)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isinf(np.linalg.det(assemble_K(big, 1e6, 1.0)))
+        assert_allclose(characteristic_polynomial(big).coeffs,
+                        np.ldexp(characteristic_polynomial(w).coeffs, 60 * 16), rtol=1e-13)
+
     def test_changed_weight_gives_a_new_polynomial(self):
         w = EdgeWeights.random(3, np.random.default_rng(42))
         c = w.c.copy()
@@ -324,3 +359,19 @@ class TestZigZagComparison:
         comparison = verify_boundary_vs_zigzag(EdgeWeights.uniform(2))
         assert sorted(comparison.per_orientation) == ["at_inf", "on_w0", "on_z0"]
         assert comparison.max_rel_error < 1e-10
+
+
+class TestLargestDomain:
+    def test_sides_match_zigzag_products(self):
+        # at d = MAX_DOMAIN the three sides of the Newton triangle are the
+        # zig-zag polynomials: p_d0 prod (z - r) over the horizontal
+        # products and so on. The products of one family share a sign, so
+        # np.poly forms those coefficients without cancellation.
+        d = MAX_DOMAIN
+        w = EdgeWeights.random(d, np.random.default_rng(16))
+        p = characteristic_polynomial(w).coeffs
+        zz = all_zigzag_products(w)
+        k = np.arange(d + 1)
+        for side, orientation in ((p[:, 0], "horizontal"), (p[0, :], "vertical"),
+                                  (p[k, d - k], "nw-se")):
+            assert_allclose(side, np.poly(zz[orientation])[::-1] * side[d], rtol=1e-12)
