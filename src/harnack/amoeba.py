@@ -3,11 +3,15 @@
 The amoeba of P is the image of its zero set under (z, w) -> (log|z|, log|w|).
 Membership at (x, y) is decided by sweeping phi in z = exp(x + i phi) and
 watching the count of w-roots below the circle |w| = exp(y): any change in the
-count, or a root grazing the circle, certifies intersection. The Ronkin
-function is evaluated by a Jensen-type reduction to a one-dimensional
-integral over phi, split at the angles where a root modulus crosses exp(y);
-its gradient has exact piecewise-constant counting integrands, which makes
-facet slopes of complement components come out at nearly machine precision.
+count, or a root grazing the circle, certifies intersection. The raster
+decides a whole pixel column at once from the real roots at z = +-exp(x)
+when its sweep shows every sorted root-modulus branch monotone on [0, pi],
+as on a Harnack curve, and takes the sweep test only where that check
+fails. The Ronkin function is evaluated by a Jensen-type reduction to a
+one-dimensional integral over phi, split at the angles where a root modulus
+crosses exp(y); its gradient has exact piecewise-constant counting
+integrands, which makes facet slopes of complement components come out at
+nearly machine precision.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ class AmoebaGrid:
     ny: int
     membership: np.ndarray  # bool, shape (ny, nx), row iy = y index
     frame_ok: bool = True
-    refined: int = 0  # pixels sent to the refined (dip-zoom) membership test
+    refined: int = 0  # pixels of columns that failed the exact-interval check sent to the dip zoom
 
     @property
     def pixel_size(self) -> tuple[float, float]:
@@ -303,6 +307,28 @@ def _frame_consistent(member: np.ndarray, grid_window, nx, ny, poly) -> bool:
     return ok
 
 
+_MONOTONE_TOL = 1e-9  # slack in log|w| for a sorted branch to count as monotone on [0, pi]
+
+
+def _branch_intervals(sweep_logs: np.ndarray, end_mods: np.ndarray):
+    """The column's exact branch ranges, or None when the hypothesis fails.
+
+    ``sweep_logs`` holds the w-root log-moduli at angles increasing through
+    (0, pi), and ``end_mods`` the root moduli at phi = 0 and phi = pi, shape
+    (2, d). With the end roots at either end of the sweep, every sorted
+    branch must be monotone to ``_MONOTONE_TOL`` and every end root finite
+    and nonzero. Returns the (lo, hi) ranges of the d sorted branches, which
+    are the ranges of their end values.
+    """
+    if not np.all(np.isfinite(end_mods) & (end_mods > 0)):
+        return None
+    ends = np.sort(np.log(end_mods), axis=1)
+    step = np.diff(np.vstack([ends[:1], np.sort(sweep_logs, axis=1), ends[1:]]), axis=0)
+    if not np.all((step >= -_MONOTONE_TOL).all(axis=0) | (step <= _MONOTONE_TOL).all(axis=0)):
+        return None
+    return ends.min(axis=0), ends.max(axis=0)
+
+
 def rasterize_amoeba(
     poly: BivariatePolynomial,
     window: tuple[float, float, float, float] | None = None,
@@ -311,8 +337,20 @@ def rasterize_amoeba(
 ) -> AmoebaGrid:
     """Pixel raster of amoeba membership.
 
-    Each pixel column shares one 160-angle phi sweep: the pixel at row iy is
-    a member when the root count below its center level varies over phi. A narrow
+    Each pixel column x gets one 160-angle phi sweep, and one root batch
+    solves w -> P(+-e^x, w) for every column. On a Harnack curve the sorted
+    w-root log-moduli m_k(phi) are monotone on [0, pi] (the amoeba map is
+    at most 2-to-1 with its critical points on the real locus), so the
+    column is exactly the union of the ranges [m_k(0), m_k(pi)]. That is
+    checked, not assumed: when every sorted branch along the sweep, folded
+    onto [0, pi] and closed by the two real solves, is monotone to
+    ``_MONOTONE_TOL`` = 1e-9 and every end root is finite and nonzero, a
+    pixel is a member exactly when its center level lies in one of those
+    ranges. Those ranges always lie inside the column, so the exact path
+    never marks a non-member; it can miss a member only where the check
+    passes on a branch that turns between two sweep samples. Any other
+    column is decided from its sweep: the pixel at row iy is a member when
+    the root count below its center level varies over phi. A narrow
     grazing band (capped well below the pixel size so the area estimator
     stays unbiased) catches tangential intersections the count cannot see:
     the column's pixels in that band get the refined test of
@@ -333,11 +371,20 @@ def rasterize_amoeba(
     # the refined point query instead of the coarse verdict
     suspect = max(1.5 * py, 4e-3)
     phis = _sweep_angles(160)
+    # P is real, so |w| is even in phi: the sweep folded onto [0, pi], in angle order
+    fold = np.argsort(np.minimum(phis, 2.0 * np.pi - phis))
+    ez = np.exp(xc)
+    end_mods = np.abs(polyroots_batch(poly.w_coefficients(np.concatenate([ez, -ez])))).reshape(2, nx, -1)
     member = np.empty((ny, nx), dtype=bool)
     refined = 0
     for ix in range(nx):
         x = float(xc[ix])
         logs = _w_logmods(poly, x, phis)
+        exact = _branch_intervals(logs[fold], end_mods[:, ix])
+        if exact is not None:
+            lo, hi = exact
+            member[:, ix] = ((yc[:, None] >= lo) & (yc[:, None] <= hi)).any(axis=1)
+            continue
         counts = (logs[:, :, None] < yc[None, None, :]).sum(axis=1)
         varying = counts.max(axis=0) != counts.min(axis=0)
         flat = np.sort(logs.reshape(-1))

@@ -150,12 +150,28 @@ def _oracle_raster(poly, window, n, n_phi=160):
     return member, sent, grazed
 
 
+def _fallback_spy(monkeypatch):
+    """Record, column by column, whether the raster's exact-interval check passed."""
+    passed = []
+    check = amoeba_mod._branch_intervals
+
+    def spy(*args):
+        out = check(*args)
+        passed.append(out is not None)
+        return out
+
+    monkeypatch.setattr(amoeba_mod, "_branch_intervals", spy)
+    return passed
+
+
 class TestColumnRefinement:
-    """The raster refines a column's suspect pixels together; the verdicts
-    must equal refining each pixel on its own."""
+    """A column that fails the exact-interval check is decided by the dip
+    path, which refines its suspect pixels together; the verdicts must equal
+    refining each pixel on its own."""
 
     @pytest.mark.parametrize("d, seed, half, n", [(3, 2026, 1.0, 120), (4, 1, 0.5, 64)])
-    def test_raster_matches_per_pixel_oracle(self, d, seed, half, n):
+    def test_raster_matches_per_pixel_oracle(self, d, seed, half, n, monkeypatch):
+        monkeypatch.setattr(amoeba_mod, "_branch_intervals", lambda *args: None)
         poly = characteristic_polynomial(EdgeWeights.random(d, np.random.default_rng(seed)))
         x0, x1, y0, y1 = auto_window(poly)
         cx, cy, hx, hy = 0.5 * (x0 + x1), 0.5 * (y0 + y1), 0.5 * half * (x1 - x0), 0.5 * half * (y1 - y0)
@@ -165,6 +181,30 @@ class TestColumnRefinement:
         assert np.array_equal(grid.membership, member)
         assert grid.refined == sent
         assert grazed > 0  # some suspect pixels are members: the dip zoom decided them
+
+    def test_non_monotone_columns_fall_back(self, monkeypatch):
+        # off the Harnack family the middle branch dips below its phi = 0
+        # value for |x| <= 0.04, so those columns take the dip path unforced
+        passed = _fallback_spy(monkeypatch)
+        poly = perturbed_u3(0.90)
+        window = (-0.05, 0.05, -0.5, 2.5)
+        grid = rasterize_amoeba(poly, window=window, nx=24, ny=24)
+        member, _, _ = _oracle_raster(poly, window, 24)
+        assert np.array_equal(grid.membership, member)
+        assert grid.refined > 0
+        assert not all(passed) and any(passed)
+
+    def test_zero_end_root_falls_back(self, monkeypatch):
+        # 1 + z + w has the root w = 0 at z = -1: the column x = 0 (the
+        # middle one of 21) has an end root of modulus 0 and must fall back
+        passed = _fallback_spy(monkeypatch)
+        poly = characteristic_polynomial(EdgeWeights.uniform(1))
+        window = (-1.0, 1.0, -6.0, 2.0)
+        grid = rasterize_amoeba(poly, window=window, nx=21, ny=21)
+        assert grid.x_centers()[10] == 0.0
+        assert [ix for ix, ok in enumerate(passed) if not ok] == [10]
+        member, _, _ = _oracle_raster(poly, window, 21)
+        assert np.array_equal(grid.membership, member)
 
     def test_membership_matches_oracle(self):
         poly = characteristic_polynomial(EdgeWeights.random(3, np.random.default_rng(2026)))
@@ -181,10 +221,48 @@ class TestColumnRefinement:
         assert all(verdicts[20:])
 
 
+def _dense_raster(poly, grid, n_phi=20001):
+    """Reference membership from a dense sweep of [0, pi], assuming nothing.
+
+    A pixel is a member when its level lies within [min, max] of some sorted
+    w-root log-modulus branch over the sweep; ``near`` marks the pixels
+    within 1e-3 of such a range endpoint, where the sweep cannot decide."""
+    yc = grid.y_centers()[:, None]
+    phis = np.linspace(0.0, np.pi, n_phi)
+    member = np.empty_like(grid.membership)
+    near = np.empty_like(grid.membership)
+    for ix, x in enumerate(grid.x_centers()):
+        logs = np.sort(_oracle_logmods(poly, float(x), phis), axis=1)
+        lo, hi = logs.min(axis=0), logs.max(axis=0)
+        member[:, ix] = ((yc >= lo) & (yc <= hi)).any(axis=1)
+        near[:, ix] = (np.minimum(np.abs(yc - lo), np.abs(yc - hi)) < 1e-3).any(axis=1)
+    return member, near
+
+
+class TestExactColumns:
+    """On Harnack curves every column passes the monotone check and the
+    raster equals a dense-sweep reference."""
+
+    @pytest.mark.parametrize("d, seed, max_near", [(3, 2026, 8), (4, 1, 2)])
+    def test_raster_matches_dense_sweep(self, d, seed, max_near):
+        poly = characteristic_polynomial(EdgeWeights.random(d, np.random.default_rng(seed)))
+        x0, x1, y0, y1 = auto_window(poly)
+        cx, cy, hx, hy = 0.5 * (x0 + x1), 0.5 * (y0 + y1), 0.25 * (x1 - x0), 0.25 * (y1 - y0)
+        grid = rasterize_amoeba(poly, window=(cx - hx, cx + hx, cy - hy, cy + hy), nx=48, ny=48)
+        member, near = _dense_raster(poly, grid)
+        assert grid.refined == 0
+        assert int(near.sum()) <= max_near
+        assert np.array_equal(grid.membership[~near], member[~near])
+        assert member.any() and not member.all()
+
+
 class TestRaster:
     def test_refined_pixels_reported(self):
+        # refined counts the pixels of columns that took the dip path
         poly = characteristic_polynomial(EdgeWeights.random(3, np.random.default_rng(2026)))
-        assert rasterize_amoeba(poly, nx=120, ny=120).refined > 0
+        assert rasterize_amoeba(poly, nx=120, ny=120).refined == 0
+        squeezed = rasterize_amoeba(perturbed_u3(0.90), window=(-0.05, 0.05, -0.5, 2.5), nx=24, ny=24)
+        assert squeezed.refined > 0
         # far from every tentacle nothing is near the root-modulus pool
         assert rasterize_amoeba(poly, window=(20.0, 22.0, -22.0, -20.0), nx=16, ny=16).refined == 0
 
