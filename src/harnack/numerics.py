@@ -3,8 +3,12 @@
 Complex univariate root finding (Aberth-Ehrlich with Newton polish), a
 partial-pivot LU determinant (a reference for tests; the Kasteleyn layer
 takes batched ``np.linalg.det``), periodic trapezoid quadrature with
-doubling, and a panel-adaptive Gauss-Legendre integrator for periodic
-integrands with known kink locations.
+doubling, and a panel-adaptive Gauss-Legendre integrator. The integrator,
+``integrate_panels``, runs many independent integrals in shared rounds and
+hands the integrand at most ``MAX_PANELS_PER_CALL`` = 64 panels (3,072
+nodes) per call, which bounds the size of one root batch; each integral
+comes out to the same bits as when run alone. ``integrate_periodic_kinked``
+is its one-integral case for periodic integrands with known kink locations.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ __all__ = [
     "det_complex",
     "periodic_quadrature",
     "integrate_periodic_kinked",
+    "integrate_panels",
     "polyroots_batch",
 ]
 
@@ -348,54 +353,88 @@ def integrate_periodic_kinked(
 ) -> QuadratureResult:
     """Integrate a vectorized periodic function over [0, 2pi) with kink splitting.
 
-    Panels between consecutive kink angles are integrated with nested
-    Gauss-Legendre rules (16 vs 32 points) and bisected until the local error
-    estimates sum below ``tol``; integrands analytic between kinks converge in
-    a couple of rounds. After 30 rounds the result is flagged unconverged.
+    Panels between consecutive kink angles go to ``integrate_panels`` as one
+    integral, and f is called with the nodes alone.
     """
     kk = np.sort(np.mod(np.asarray(list(kinks), dtype=float), 2.0 * np.pi))
     if kk.size == 0:
         edges = np.array([0.0, 2.0 * np.pi])
     else:
         edges = np.concatenate([kk, [kk[0] + 2.0 * np.pi]])
-    panels = [(edges[i], edges[i + 1]) for i in range(edges.size - 1) if edges[i + 1] - edges[i] > 1e-14]
+    return integrate_panels(lambda t, owner: f(t), [edges], tol)[0]
 
+
+MAX_PANELS_PER_CALL = 64  # panels (48 nodes each, 3,072 nodes) handed to f in one call
+
+
+def integrate_panels(f, edges, tol: float) -> list[QuadratureResult]:
+    """Integrate many functions at once, each over its own increasing panel edges.
+
+    Every panel is integrated with nested Gauss-Legendre rules (16 vs 32
+    points). In each round, integral k accepts a panel whose error estimate
+    is below tol * max(1, |accepted| + |round sum|) / (its panel count) and
+    bisects the rest; integrands analytic between edges converge in a couple
+    of rounds, and after 30 rounds the remaining panels are added and the
+    result is flagged unconverged. All open integrals share each round:
+    ``f(t, owner)`` receives the nodes of at most ``MAX_PANELS_PER_CALL``
+    panels and the index of the integral each node belongs to, and returns
+    one value per node. An integral's panel sums, budget and totals are
+    taken in the same order as when it runs alone, so for an f that treats
+    nodes independently each result is the same to the bit either way.
+    Returns one ``QuadratureResult`` per entry of ``edges``.
+    """
     x16, w16 = _gl_nodes(16)
     x32, w32 = _gl_nodes(32)
+    nodes = np.concatenate([x16, x32])
+    m = len(edges)
+    lo, hi, owner = [], [], []
+    for k, e in enumerate(edges):
+        e = np.asarray(e, dtype=float)
+        keep = e[1:] - e[:-1] > 1e-14
+        lo.append(e[:-1][keep])
+        hi.append(e[1:][keep])
+        owner.append(np.full(int(keep.sum()), k))
+    lo, hi, owner = np.concatenate(lo), np.concatenate(hi), np.concatenate(owner)
 
-    def panel_pair(lo, hi):
+    def panel_values(lo, hi, owner):
         half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        t = np.concatenate([mid + half * x16, mid + half * x32])
-        y = np.asarray(f(t), dtype=float)
-        coarse = half * float(np.dot(w16, y[:16]))
-        fine = half * float(np.dot(w32, y[16:]))
-        return fine, abs(fine - coarse)
+        t = 0.5 * (hi + lo)[:, None] + half[:, None] * nodes
+        y = np.empty_like(t)
+        for s in range(0, lo.size, MAX_PANELS_PER_CALL):
+            part = slice(s, s + MAX_PANELS_PER_CALL)
+            y[part] = np.asarray(
+                f(t[part].reshape(-1), np.repeat(owner[part], nodes.size)), dtype=float
+            ).reshape(-1, nodes.size)
+        # one np.dot per panel: a matrix product may round differently
+        coarse = half * np.array([np.dot(w16, row[:16]) for row in y])
+        fine = half * np.array([np.dot(w32, row[16:]) for row in y])
+        return fine, np.abs(fine - coarse)
 
-    total = 0.0
-    err_total = 0.0
-    work = panels
-    n_evals = 0
+    total = np.zeros(m)
+    n = np.zeros(m, dtype=int)
+    converged = np.ones(m, dtype=bool)
     for _ in range(30):
-        results = [panel_pair(lo, hi) for lo, hi in work]
-        n_evals += 48 * len(work)
-        budget = tol * max(1.0, abs(total) + abs(sum(v for v, _ in results)))
-        keep_val = 0.0
-        next_work = []
-        for (lo, hi), (val, err) in zip(work, results):
-            if err < budget / max(1, len(work)) or (hi - lo) < 1e-12:
-                keep_val += val
-                err_total += err
-            else:
-                mid = 0.5 * (lo + hi)
-                next_work.extend([(lo, mid), (mid, hi)])
-        total += keep_val
-        if not next_work:
-            return QuadratureResult(total, n_evals, True)
-        work = next_work
-    # stalled refinement: accept current best with a flag
-    total += sum(panel_pair(lo, hi)[0] for lo, hi in work)
-    return QuadratureResult(total, n_evals, False)
+        vals, errs = panel_values(lo, hi, owner)
+        counts = np.bincount(owner, minlength=m)
+        n += nodes.size * counts
+        # bincount adds in index order, as a running sum over the panels would
+        round_sum = np.bincount(owner, weights=vals, minlength=m)
+        budget = tol * np.fmax(1.0, np.abs(total) + np.abs(round_sum))  # fmax, like max, drops a NaN
+        accept = (errs < budget[owner] / counts[owner]) | (hi - lo < 1e-12)
+        total += np.bincount(owner[accept], weights=vals[accept], minlength=m)
+        split = ~accept
+        if not split.any():
+            break
+        # the two halves of each failing panel stay next to each other
+        lo, hi, owner = lo[split], hi[split], owner[split]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.stack([lo, mid], axis=1).reshape(-1), np.stack([mid, hi], axis=1).reshape(-1)
+        owner = np.repeat(owner, 2)
+    else:
+        # stalled refinement: accept the current best with a flag
+        total += np.bincount(owner, weights=panel_values(lo, hi, owner)[0], minlength=m)
+        converged[owner] = False
+    return [QuadratureResult(float(total[k]), int(n[k]), bool(converged[k])) for k in range(m)]
 
 
 def polyroots_batch(coeff_rows: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Amoeba membership, Ronkin function, hole census, and the Harnack certificate."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from harnack import (
     volume_difference,
 )
 from harnack import amoeba as amoeba_mod
-from harnack.numerics import QuadratureResult, polyroots_batch
+from harnack.numerics import QuadratureResult, integrate_periodic_kinked, polyroots_batch
 
 seeds = st.integers(0, 10**9)
 
@@ -308,8 +309,15 @@ class TestQuadratureConvergence:
             ronkin(line_poly, 0.0, 0.0)
 
     def test_unconverged_column_integral_raises(self, u2_poly, monkeypatch):
-        monkeypatch.setattr("harnack.amoeba.integrate_periodic_kinked", self._stalled)
-        with pytest.raises(RuntimeError, match="no convergence"):
+        # the volume path runs all columns of a Simpson level in one batch;
+        # the first column of the first level sits on the box's left edge
+        def stalled(f, edges, tol):
+            return [QuadratureResult(0.0, 48, False)] * len(edges)
+
+        monkeypatch.setattr("harnack.amoeba.integrate_panels", stalled)
+        normalized = BivariatePolynomial(2, u2_poly.coeffs / u2_poly.coeffs[0, 0])
+        x0 = auto_window(normalized, pad=3.0)[0]
+        with pytest.raises(RuntimeError, match=f"^no convergence: .* at x = {re.escape(str(float(x0)))} after"):
             volume_difference(u2_poly, u2_poly)
 
 
@@ -489,9 +497,57 @@ class TestCertificate:
         assert not cert.checks["area"]
 
 
+def _column_integral_reference(poly, x, y0, y1):
+    """One column over the full phi period, one quadrature per column."""
+    lead = abs(poly.corner("w"))
+
+    def integrand(phis):
+        logs = amoeba_mod._w_logmods(poly, x, phis)
+        below = logs <= y0
+        above = logs >= y1
+        mid = ~(below | above)
+        vals = np.where(below, 0.5 * (y1 ** 2 - y0 ** 2), 0.0)
+        vals = vals + np.where(above, logs * (y1 - y0), 0.0)
+        vals = vals + np.where(mid, logs * (logs - y0) + 0.5 * (y1 ** 2 - logs ** 2), 0.0)
+        return vals.sum(axis=1)
+
+    q = integrate_periodic_kinked(integrand, [], tol=1e-9)
+    assert q.converged
+    return (y1 - y0) * math.log(lead) + q.value / (2.0 * math.pi)
+
+
+@pytest.fixture(scope="module")
+def c12_pair(u3_poly):
+    """The c12 pair as ``volume_difference`` sees it: u3 with p11 x 1.01, and
+    u3, both normalized to constant term 1."""
+    coeffs = u3_poly.coeffs.copy()
+    coeffs[1, 1] *= 1.01
+    return (BivariatePolynomial(3, coeffs / coeffs[0, 0]),
+            BivariatePolynomial(3, u3_poly.coeffs / u3_poly.coeffs[0, 0]))
+
+
 class TestVolumeDifference:
     def test_identical_curves_give_zero(self, u2_poly):
         assert abs(volume_difference(u2_poly, u2_poly)) < 1e-9
+
+    # (y0, y1, xs): the amoeba box (-3, 3)^2, the bottom strip of its first
+    # ring, and the left strip of its last. P(z, 0) = (1 + z)^3, so the south
+    # tentacle runs down x = 0: there roots cross y0 and the integrand kinks.
+    @pytest.mark.parametrize("y0,y1,xs", [
+        (-3.0, 3.0, [-3.0, -1.7, -0.4, 0.0, 0.02, 0.3, 1.1, 3.0]),
+        (-4.0, -3.0, [-0.05, 0.0, 0.01, 2.5]),
+        (-9.0, 9.0, [-9.0, -8.5]),
+    ])
+    def test_batched_columns_match_per_column_oracle(self, c12_pair, y0, y1, xs):
+        for poly in c12_pair:
+            got = amoeba_mod._column_integrals(poly, xs, y0, y1)
+            for x, value in zip(xs, got):
+                want = _column_integral_reference(poly, x, y0, y1)
+                assert abs(value - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_c12_value(self, c12_pair):
+        # the full-period, per-column integration gave 0.12275489324855014
+        assert abs(volume_difference(*c12_pair) - 0.12275489324855014) < 1e-8
 
     def test_degree_mismatch_rejected(self, line_poly, u2_poly):
         with pytest.raises(ValueError, match="degrees differ"):

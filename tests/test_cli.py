@@ -325,6 +325,18 @@ class TestVolumeDiff:
         assert code == 0
         assert abs(json.loads(out)["volume_difference"]) < 1e-9
 
+    def test_unconverged_quadrature_exits_two(self, tmp_path, capsys, monkeypatch):
+        stalled = lambda f, edges, tol: [QuadratureResult(0.0, 48, False)] * len(edges)
+        monkeypatch.setattr("harnack.amoeba.integrate_panels", stalled)
+        pfile = write_poly(
+            tmp_path / "p.json", characteristic_polynomial(EdgeWeights.uniform(2))
+        )
+        code, out, err = run(capsys, ["volume-diff", "--poly1", pfile, "--poly2", pfile])
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["kind"] == "no-convergence"
+        assert "Ronkin column integral at x = " in payload["error"]
+
 
 class TestErrorPaths:
     @pytest.mark.parametrize("name", SUBCOMMANDS)

@@ -19,7 +19,7 @@ import pytest
 from harnack import EdgeWeights, Genus0Curve, IsoradialAngles, boundary_map
 from harnack import io as hio
 from harnack.cli import main
-from harnack.kasteleyn import characteristic_polynomial
+from harnack.kasteleyn import BivariatePolynomial, characteristic_polynomial
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -33,18 +33,25 @@ CASES = {
     "amoeba": ["amoeba", "--poly", "{p3}", "--grid", "120", "--out", "{pgm}"],
     "ma-check": ["ma-check", "--poly", "{p2}", "--points", "2"],
     "divisor": ["divisor", "--weights", "{w3}", "--vertex", "0,0"],
+    "volume-diff": ["volume-diff", "--poly1", "{u3p}", "--poly2", "{u3}"],
 }
 
 
 def _write_inputs(tmp: Path) -> dict:
     w2 = EdgeWeights.random(2, np.random.default_rng(5))
     w3 = EdgeWeights.random(3, np.random.default_rng(2026))
+    u3 = characteristic_polynomial(EdgeWeights.uniform(3))
+    # the c12 pair: u3 with p11 x 1.01 opens a hole at (1, 1) and keeps the boundary
+    u3p = u3.coeffs.copy()
+    u3p[1, 1] *= 1.01
     files = {
         "w3": hio.weights_to_json(w3),
         "p2": hio.poly_to_json(characteristic_polynomial(w2)),
         "p3": hio.poly_to_json(characteristic_polynomial(w3)),
         "triple": hio.triple_to_json(boundary_map(Genus0Curve.random(3, np.random.default_rng(8)))),
         "angles": hio.angles_to_json(IsoradialAngles.random(3, np.random.default_rng(9))),
+        "u3": hio.poly_to_json(u3),
+        "u3p": hio.poly_to_json(BivariatePolynomial(3, u3p)),
     }
     paths = {}
     for name, payload in files.items():

@@ -8,11 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from harnack import EdgeWeights, characteristic_polynomial
+from harnack.amoeba import _crossing_angles, _w_logmods
 from harnack.genus0 import _wrap_angles
 from harnack.numerics import (
+    MAX_PANELS_PER_CALL,
     ComplexPoly,
+    QuadratureResult,
+    _gl_nodes,
     cluster_values,
     det_complex,
+    integrate_panels,
     integrate_periodic_kinked,
     periodic_quadrature,
     polyroots_batch,
@@ -129,6 +135,68 @@ class TestPeriodicQuadrature:
         assert float(result) == pytest.approx(2.0 * math.pi)
 
 
+def _reference_kinked(f, kinks, tol=1e-11):
+    """The one-integral, one-panel-per-call quadrature that ``integrate_panels`` batches."""
+    kk = np.sort(np.mod(np.asarray(list(kinks), dtype=float), 2.0 * np.pi))
+    if kk.size == 0:
+        edges = np.array([0.0, 2.0 * np.pi])
+    else:
+        edges = np.concatenate([kk, [kk[0] + 2.0 * np.pi]])
+    panels = [(edges[i], edges[i + 1]) for i in range(edges.size - 1) if edges[i + 1] - edges[i] > 1e-14]
+
+    x16, w16 = _gl_nodes(16)
+    x32, w32 = _gl_nodes(32)
+
+    def panel_pair(lo, hi):
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        t = np.concatenate([mid + half * x16, mid + half * x32])
+        y = np.asarray(f(t), dtype=float)
+        coarse = half * float(np.dot(w16, y[:16]))
+        fine = half * float(np.dot(w32, y[16:]))
+        return fine, abs(fine - coarse)
+
+    total = 0.0
+    work = panels
+    n_evals = 0
+    for _ in range(30):
+        results = [panel_pair(lo, hi) for lo, hi in work]
+        n_evals += 48 * len(work)
+        budget = tol * max(1.0, abs(total) + abs(sum(v for v, _ in results)))
+        keep_val = 0.0
+        next_work = []
+        for (lo, hi), (val, err) in zip(work, results):
+            if err < budget / max(1, len(work)) or (hi - lo) < 1e-12:
+                keep_val += val
+            else:
+                mid = 0.5 * (lo + hi)
+                next_work.extend([(lo, mid), (mid, hi)])
+        total += keep_val
+        if not next_work:
+            return QuadratureResult(total, n_evals, True)
+        work = next_work
+    total += sum(panel_pair(lo, hi)[0] for lo, hi in work)
+    return QuadratureResult(total, n_evals, False)
+
+
+def _same_bits(a: QuadratureResult, b: QuadratureResult) -> bool:
+    return np.float64(a.value).tobytes() == np.float64(b.value).tobytes() and (a.n, a.converged) == (b.n, b.converged)
+
+
+def _singular(t):
+    # an integrable singularity at t = 1, which no panel edge meets: the panel
+    # holding it never passes, and bisection stalls after 30 rounds
+    return np.abs(t - 1.0) ** -0.5 + np.sin(t)
+
+
+def _ronkin_case():
+    poly = characteristic_polynomial(EdgeWeights.random(4, np.random.default_rng(3)))
+    x, y = 1.4928190579208884, -0.37727244853417097  # sample_interior(poly, 1, default_rng(0))
+    kinks, _, _ = _crossing_angles(lambda phis: _w_logmods(poly, x, phis), y)
+    assert kinks.size >= 2
+    return lambda phis: np.maximum(y, _w_logmods(poly, x, phis)).sum(axis=1), kinks
+
+
 class TestKinkedQuadrature:
     def test_abs_sin(self):
         result = integrate_periodic_kinked(lambda t: np.abs(np.sin(t)), kinks=[0.0, math.pi])
@@ -140,6 +208,45 @@ class TestKinkedQuadrature:
         smooth = periodic_quadrature(f)
         kinked = integrate_periodic_kinked(f, kinks=[1.0, 4.0])
         assert abs(smooth.value - kinked.value) < 1e-9
+
+    @pytest.mark.parametrize("case", ["abs_sin", "exp_cos", "ronkin", "stalled", "many_panels"])
+    def test_same_bits_as_one_panel_per_call(self, case):
+        # many_panels: 40 panels in a round, where the order of the sums shows
+        f, kinks = {
+            "abs_sin": (lambda t: np.abs(np.sin(t)), [0.0, math.pi]),
+            "exp_cos": (lambda t: np.exp(np.cos(t)), [1.0, 4.0]),
+            "stalled": (_singular, []),
+            "many_panels": (lambda t: np.exp(np.cos(7.0 * t)) + np.abs(np.sin(3.0 * t)),
+                            np.random.default_rng(1).uniform(0.0, 2.0 * math.pi, 40)),
+        }.get(case) or _ronkin_case()
+        got = integrate_periodic_kinked(f, kinks)
+        assert _same_bits(got, _reference_kinked(f, kinks))
+        assert got.converged == (case != "stalled")
+
+
+class TestBatchedQuadrature:
+    def test_each_integral_equals_its_solo_run(self):
+        # 40 integrals with their own parameters and panel edges, including a
+        # stalled one; round 1 alone passes more than MAX_PANELS_PER_CALL panels
+        rng = np.random.default_rng(11)
+        amp = rng.uniform(0.5, 2.0, 40)
+        shift = rng.uniform(0.0, math.pi, 40)
+        edges = [np.sort(np.concatenate([[0.0, math.pi], rng.uniform(0.0, math.pi, k % 4)])) for k in range(40)]
+        edges[7] = np.array([0.0, 2.0 * math.pi])
+        sizes = []
+
+        def f(t, owner):
+            sizes.append(t.size)
+            out = np.exp(amp[owner] * np.cos(t)) + np.abs(np.sin(t - shift[owner]))
+            return np.where(owner == 7, _singular(t), out)
+
+        batch = integrate_panels(f, edges, 1e-11)
+        assert sum(e.size - 1 for e in edges) > MAX_PANELS_PER_CALL
+        assert max(sizes) <= 48 * MAX_PANELS_PER_CALL
+        for k, got in enumerate(batch):
+            alone = integrate_panels(lambda t, owner: f(t, np.full(t.size, k)), [edges[k]], 1e-11)[0]
+            assert _same_bits(got, alone)
+        assert [q.converged for q in batch] == [k != 7 for k in range(40)]
 
 
 class TestPolyrootsBatch:
