@@ -401,8 +401,10 @@ def _real_roots_of(coeffs: np.ndarray, label: str) -> np.ndarray:
 def boundary_points(poly: BivariatePolynomial) -> BoundaryPoints:
     """Boundary points of the spectral curve on the three axes of its triangle.
 
-    Roots are clustered to centroids (relative tolerance 1e-6) and returned
-    with multiplicity; a genuinely complex root means the curve cannot come
+    Each side polynomial keeps its full degree, however small its leading
+    coefficient. Its roots come from ``numerics.roots`` with multiplicity: a
+    certified multiple root returns as equal copies, and close distinct
+    roots stay apart. A genuinely complex root means the curve cannot come
     from positive edge weights.
     """
     d = poly.d

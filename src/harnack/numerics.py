@@ -1,14 +1,16 @@
 """Shared numerical kernels.
 
-Complex univariate root finding (Aberth-Ehrlich with Newton polish), a
-partial-pivot LU determinant (a reference for tests; the Kasteleyn layer
-takes batched ``np.linalg.det``), periodic trapezoid quadrature with
-doubling, and a panel-adaptive Gauss-Legendre integrator. The integrator,
-``integrate_panels``, runs many independent integrals in shared rounds and
-hands the integrand at most ``MAX_PANELS_PER_CALL`` = 64 panels (3,072
-nodes) per call, which bounds the size of one root batch; each integral
-comes out to the same bits as when run alone. ``integrate_periodic_kinked``
-is its one-integral case for periodic integrands with known kink locations.
+Complex univariate root finding (companion-matrix eigenvalues with Newton
+polish and certified multiple roots), a partial-pivot LU determinant (a
+reference for tests; the Kasteleyn layer takes batched ``np.linalg.det``)
+and a panel-adaptive Gauss-Legendre integrator. Every root in the library
+comes from ``polyroots_batch``, the batched companion eigenvalues. The
+integrator, ``integrate_panels``, runs many independent integrals in shared
+rounds and hands the integrand at most ``MAX_PANELS_PER_CALL`` = 64 panels
+(3,072 nodes) per call, which bounds the size of one root batch; each
+integral comes out to the same bits as when run alone.
+``integrate_periodic_kinked`` is its one-integral case for periodic
+integrands with known kink locations.
 """
 
 from __future__ import annotations
@@ -21,15 +23,11 @@ __all__ = [
     "ComplexPoly",
     "QuadratureResult",
     "roots",
-    "cluster_values",
     "det_complex",
-    "periodic_quadrature",
     "integrate_periodic_kinked",
     "integrate_panels",
     "polyroots_batch",
 ]
-
-_TRIM_REL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -42,13 +40,11 @@ class ComplexPoly:
         arr = np.atleast_1d(np.asarray(coeffs, dtype=complex))
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficient array must be one-dimensional and nonempty")
-        scale = np.max(np.abs(arr))
-        if scale == 0.0:
+        nonzero = np.flatnonzero(arr)
+        if nonzero.size == 0:
             raise ValueError("zero polynomial")
-        # trim trailing (leading-degree) coefficients that are numerically zero
-        keep = arr.size
-        while keep > 1 and abs(arr[keep - 1]) < _TRIM_REL * scale:
-            keep -= 1
+        # drop leading-degree coefficients that are exactly zero
+        keep = nonzero[-1] + 1
         object.__setattr__(self, "coeffs", arr[:keep].copy())
 
     @property
@@ -69,83 +65,21 @@ class ComplexPoly:
         return ComplexPoly(self.coeffs[1:] * k)
 
 
-def _aberth(coeffs: np.ndarray) -> np.ndarray:
-    """All roots of an ascending-coefficient polynomial, degree >= 1."""
-    n = coeffs.size - 1
-    monic = coeffs / coeffs[-1]
-    if n == 1:
-        return np.array([-monic[0]])
-    if n == 2:
-        b, c = monic[1], monic[0]
-        disc = np.sqrt(b * b - 4.0 * c + 0j)
-        # stable quadratic: avoid cancellation in the small root
-        q = -0.5 * (b + disc) if abs(b + disc) >= abs(b - disc) else -0.5 * (b - disc)
-        r1 = q
-        r2 = c / q if q != 0 else -b - q
-        return np.array([r1, r2])
-
-    radius = 1.0 + np.max(np.abs(monic[:-1]))
-    k = np.arange(n)
-    z = radius * np.exp(1j * (2.0 * np.pi * (k + 0.5) / n + 0.4))
-    dcoef = monic[1:] * np.arange(1, n + 1)
-
-    def horner(c, x):
-        out = np.full_like(x, c[-1])
-        for ck in c[-2::-1]:
-            out = out * x + ck
-        return out
-
-    for _ in range(200):
-        pv = horner(monic, z)
-        dv = horner(dcoef, z)
-        dv = np.where(dv == 0, 1e-300, dv)
-        newton = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        s = np.sum(1.0 / diff, axis=1) - 1.0  # remove the fill_diagonal contribution
-        denom = 1.0 - newton * s
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        step = newton / denom
-        z = z - step
-        if np.max(np.abs(step)) < 1e-14 * (1.0 + np.max(np.abs(z))):
-            break
-
-    # one Newton polish pass where the derivative is trustworthy
-    for _ in range(2):
-        pv = horner(monic, z)
-        dv = horner(dcoef, z)
-        ok = np.abs(dv) > 1e-8 * (1.0 + np.abs(z)) ** (n - 1)
-        step = np.where(ok, pv / np.where(dv == 0, 1.0, dv), 0.0)
-        z = z - step
-    return z
-
-
-def _cluster_index_groups(values, tol: float) -> list[list[int]]:
+def _groups(values, rho: float) -> list[list[int]]:
+    """Greedy grouping: a value joins the first group whose centroid c has
+    |v - c| <= rho * max(|v|, |c|), in (real, imag) order."""
     vals = np.asarray(values, dtype=complex)
     order = sorted(range(vals.size), key=lambda i: (vals[i].real, vals[i].imag))
     groups: list[list[int]] = []
     for i in order:
         for members in groups:
             centroid = np.mean([vals[k] for k in members])
-            if abs(vals[i] - centroid) < tol:
+            if abs(vals[i] - centroid) <= rho * max(abs(vals[i]), abs(centroid)):
                 members.append(i)
                 break
         else:
             groups.append([i])
     return groups
-
-
-def _cluster_groups(values, tol: float) -> list[list[complex]]:
-    vals = np.asarray(values, dtype=complex)
-    return [[complex(vals[i]) for i in g] for g in _cluster_index_groups(vals, tol)]
-
-
-def cluster_values(values, tol: float):
-    """Greedy clustering of complex values; returns (centroid, multiplicity) pairs.
-
-    Values closer than ``tol`` to an existing cluster centroid are merged.
-    """
-    return [(complex(np.mean(m)), len(m)) for m in _cluster_groups(values, tol)]
 
 
 def _taylor_terms(coeffs: np.ndarray, z: complex, upto: int) -> list[float]:
@@ -177,67 +111,84 @@ def _refine_multiple(coeffs: np.ndarray, group: list[complex]):
     so Newton on p^(m-1) reaches it to machine precision even though direct
     evaluation of p is pure noise there. The merge is accepted only if the
     Taylor terms of p at the refined point are dominated by the m-th order
-    term across the group's radius.
+    term across the group's radius. All of it runs in u = x / r, r the
+    modulus of the group's centroid, so that the group lies near |u| = 1 and
+    the Newton stop, the drift guard and the noise floor do not depend on
+    the scale of the roots.
     """
     m = len(group)
-    der = coeffs.astype(complex)
+    centroid = complex(np.mean(group))
+    r = abs(centroid) or 1.0
+    q = coeffs * r ** np.arange(coeffs.size)  # q(u) = p(r u)
+    q = q / np.max(np.abs(q))
+    der = q
     for _ in range(m - 1):
         der = der[1:] * np.arange(1, der.size)
     if der.size < 2:
         return None
     dder = der[1:] * np.arange(1, der.size)
-    z = complex(np.mean(group))
-    start = z
+    u = centroid / r
+    start = u
     for _ in range(40):
-        dv = np.polyval(dder[::-1], z)
+        dv = np.polyval(dder[::-1], u)
         if dv == 0:
             break
-        step = np.polyval(der[::-1], z) / dv
+        step = np.polyval(der[::-1], u) / dv
         if not np.isfinite(step):
             return None
-        z = z - step
-        if abs(step) < 1e-15 * (1.0 + abs(z)):
+        u = u - step
+        if abs(step) < 1e-15 * (1.0 + abs(u)):
             break
-    radius = max(abs(g - z) for g in group)
-    if not np.isfinite(z) or abs(z - start) > 10.0 * radius + 1e-12:
+    radius = max(abs(g / r - u) for g in group)
+    if not np.isfinite(u) or abs(u - start) > 10.0 * radius + 1e-12:
         return None
-    terms = _taylor_terms(coeffs, z, m)
+    terms = _taylor_terms(q, u, m)
     lead = terms[m] * radius ** m
     if lead == 0.0:
         return None
     # low-order terms must be dominated by the m-th, up to evaluation noise
-    noise = 1e-12 * float(np.sum(np.abs(coeffs) * np.maximum(1.0, abs(z)) ** np.arange(coeffs.size)))
+    noise = 1e-12 * float(np.sum(np.abs(q) * np.maximum(1.0, abs(u)) ** np.arange(q.size)))
     for k in range(m):
         if terms[k] * radius ** k > max(1e-3 * lead, noise):
             return None
-    return z
+    return u * r
 
 
 def roots(p: ComplexPoly | np.ndarray) -> list[complex]:
-    """All roots, with multiplicity; near-coincident roots are merged to centroids.
+    """All roots, with multiplicity; certified multiple roots come back merged.
 
-    Residuals satisfy |p(r)| <= 1e-10 * max|coeff| * max(1,|r|)^deg at simple
-    roots. Groups of nearly coincident roots are detected at a coarse radius,
-    re-polished with multiplicity-m Newton steps, and merged only when the
-    local Taylor expansion certifies an m-fold root; otherwise they fall back
-    to a plain merge of roots closer than 1e-6 (relative to the largest root
-    modulus, at least 1).
+    The roots are the eigenvalues of the companion matrix
+    (``polyroots_batch``), each given two Newton steps where the derivative
+    is trustworthy. Residuals satisfy |p(r)| <= 1e-10 * max|coeff| *
+    max(1,|r|)^deg at simple roots. Groups of nearly coincident roots are
+    detected at relative radii growing from 1e-3 to 1e-1 (a root joins a
+    group when its distance to the centroid is below the radius times the
+    larger of the two moduli), re-polished with Newton steps on p^(m-1), and
+    merged only when the local Taylor expansion certifies an m-fold root.
+    A group that is not certified stays apart.
     """
     if not isinstance(p, ComplexPoly):
         p = ComplexPoly(p)
     if p.degree < 1:
-        raise ValueError("root finding needs degree >= 1 after trimming")
+        raise ValueError("root finding needs degree >= 1")
     coeffs = p.coeffs / np.max(np.abs(p.coeffs))
-    raw = _aberth(coeffs)
-    scale = max(1.0, float(np.max(np.abs(raw))))
+    z = polyroots_batch(coeffs[None])[0]
+    monic = ComplexPoly(coeffs / coeffs[-1])
+    dmonic = monic.derivative()
+    for _ in range(2):
+        pv = monic(z)
+        dv = dmonic(z)
+        ok = np.abs(dv) > 1e-8 * (1.0 + np.abs(z)) ** (p.degree - 1)
+        step = np.where(ok, pv / np.where(dv == 0, 1.0, dv), 0.0)
+        z = z - step
 
     # (value, multiplicity) pool; the detection radius grows so that the
     # eps^(1/m) scatter of high-multiplicity clusters is still captured,
     # with the Taylor certificate blocking false merges
-    pool: list[tuple[complex, int]] = [(complex(r), 1) for r in raw]
+    pool: list[tuple[complex, int]] = [(complex(r), 1) for r in z]
     for detect in (1e-3, 3e-3, 1e-2, 3e-2, 1e-1):
         next_pool: list[tuple[complex, int]] = []
-        for idx_group in _cluster_index_groups([v for v, _ in pool], detect * scale):
+        for idx_group in _groups([v for v, _ in pool], detect):
             if len(idx_group) == 1:
                 next_pool.append(pool[idx_group[0]])
                 continue
@@ -253,14 +204,7 @@ def roots(p: ComplexPoly | np.ndarray) -> list[complex]:
             else:
                 next_pool.extend(pool[i] for i in idx_group)
         pool = next_pool
-
-    flat: list[complex] = []
-    for v, m in pool:
-        flat.extend([v] * m)
-    out: list[complex] = []
-    for centroid, mult in cluster_values(flat, 1e-6 * scale):
-        out.extend([centroid] * mult)
-    return out
+    return [v for v, m in pool for _ in range(m)]
 
 
 def det_complex(matrix) -> complex:
@@ -294,46 +238,6 @@ class QuadratureResult:
 
     def __float__(self) -> float:
         return self.value
-
-
-def _eval_periodic(f, theta: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(f(theta), dtype=float)
-        if out.shape == theta.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(t)) for t in theta])
-
-
-def periodic_quadrature(f, n: int = 64) -> QuadratureResult:
-    """Trapezoid rule over [0, 2pi) with doubling until successive estimates agree.
-
-    Starts from ``n`` samples and doubles until two estimates differ by less
-    than 1e-10. Spectrally accurate for smooth periodic integrands.
-    Non-convergence at the 2^16-sample cap is flagged, not fatal.
-    """
-    if n < 8:
-        raise ValueError("need at least 8 samples")
-    theta = 2.0 * np.pi * np.arange(n) / n
-    vals = _eval_periodic(f, theta)
-    estimate = 2.0 * np.pi * float(np.mean(vals))
-    while n < 2 ** 16:
-        # refine by sampling the midpoints of the current grid
-        mids = theta + np.pi / n
-        new_vals = _eval_periodic(f, mids)
-        n *= 2
-        merged = np.empty(n)
-        merged[0::2] = vals
-        merged[1::2] = new_vals
-        vals = merged
-        theta = 2.0 * np.pi * np.arange(n) / n
-        new_estimate = 2.0 * np.pi * float(np.mean(vals))
-        done = abs(new_estimate - estimate) < 1e-10
-        estimate = new_estimate
-        if done:
-            return QuadratureResult(estimate, n, True)
-    return QuadratureResult(estimate, n, False)
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -355,6 +355,14 @@ class TestZigZagComparison:
         for orientation, perm in comparison.ordering.items():
             assert sorted(perm) == [0, 1, 2], orientation
 
+    def test_close_pair_at_infinity(self):
+        # a d = 9 draw whose nw-se products -0.0729879 and -0.0729643 lie
+        # 3.2e-4 apart, relative: two roots, not one double root
+        base = EdgeWeights.random(9, np.random.default_rng(9000))
+        rng = np.random.default_rng(1)
+        a, b, c = (x * np.exp(1e-3 * rng.standard_normal(x.shape)) for x in (base.a, base.b, base.c))
+        assert verify_boundary_vs_zigzag(EdgeWeights(9, a, b, c)).passed()
+
     def test_per_orientation_keys(self):
         comparison = verify_boundary_vs_zigzag(EdgeWeights.uniform(2))
         assert sorted(comparison.per_orientation) == ["at_inf", "on_w0", "on_z0"]
@@ -375,3 +383,4 @@ class TestLargestDomain:
         for side, orientation in ((p[:, 0], "horizontal"), (p[0, :], "vertical"),
                                   (p[k, d - k], "nw-se")):
             assert_allclose(side, np.poly(zz[orientation])[::-1] * side[d], rtol=1e-12)
+        assert verify_boundary_vs_zigzag(w).passed()

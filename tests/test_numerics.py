@@ -16,11 +16,9 @@ from harnack.numerics import (
     ComplexPoly,
     QuadratureResult,
     _gl_nodes,
-    cluster_values,
     det_complex,
     integrate_panels,
     integrate_periodic_kinked,
-    periodic_quadrature,
     polyroots_batch,
     roots,
 )
@@ -37,6 +35,10 @@ class TestComplexPoly:
     def test_trailing_zeros_are_trimmed(self):
         p = ComplexPoly([1.0, 2.0, 0.0, 0.0])
         assert p.degree == 1
+
+    def test_small_leading_coefficient_is_kept(self):
+        # only exact zeros are dropped: a wide coefficient spread keeps its degree
+        assert ComplexPoly([1.0, 1e20, 1.0]).degree == 2
 
     def test_derivative(self):
         p = ComplexPoly([3.0, 0.0, 2.0])  # 3 + 2 x^2
@@ -61,6 +63,26 @@ class TestRoots:
         assert np.max(np.abs(cluster - 1.0)) < 1e-8
         # all copies are the same merged centroid
         assert np.max(np.abs(cluster - cluster[0])) == 0.0
+
+    def test_separate_decades(self):
+        true = [-1e-3, -1.0, -1e3, -1e6]
+        found = sorted(roots(np.polynomial.polynomial.polyfromroots(true)), key=lambda r: r.real)
+        assert len(found) == 4
+        for got, want in zip(found, sorted(true)):
+            assert abs(got - want) < 1e-12 * abs(want)
+
+    def test_wide_span_with_close_pair_and_triple(self):
+        # side polynomials of a spectral curve: real roots of one sign over six
+        # decades, a close pair 3e-4 apart (relative) and a triple root
+        simple = [-1e3, -30.0, -0.5, -0.0729879, -0.0729643, -1e-3]
+        coeffs = np.polynomial.polynomial.polyfromroots(simple + [-2.0] * 3)
+        found = np.array(roots(coeffs))
+        assert found.size == 9
+        for want in simple:
+            assert np.min(np.abs(found - want)) < 1e-10 * abs(want)
+        triple = found[np.abs(found + 2.0) < 1e-8 * 2.0]
+        assert triple.size == 3
+        assert np.max(np.abs(triple - triple[0])) == 0.0
 
     def test_residuals_at_simple_roots(self):
         rng = np.random.default_rng(3)
@@ -89,14 +111,6 @@ class TestRoots:
             assert np.min(np.abs(found - r)) < 1e-8
 
 
-def test_cluster_values_merges_close_pairs():
-    merged = cluster_values([1.0, 1.0 + 1e-9, 5.0], tol=1e-6)
-    merged.sort(key=lambda pair: pair[0].real)
-    assert merged[0][1] == 2
-    assert merged[1] == (5.0 + 0.0j, 1)
-    assert abs(merged[0][0] - 1.0) < 1e-9
-
-
 class TestDeterminant:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_matches_numpy(self, n):
@@ -111,28 +125,6 @@ class TestDeterminant:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             det_complex(np.ones((2, 3)))
-
-
-class TestPeriodicQuadrature:
-    def test_trig_polynomial_exact(self):
-        result = periodic_quadrature(lambda t: 1.5 + np.cos(3 * t) - 0.25 * np.sin(t))
-        assert result.converged
-        assert_allclose(result.value, 2.0 * math.pi * 1.5, rtol=1e-12)
-
-    @pytest.mark.parametrize("a,expected", [(0.3, 0.0), (2.0, math.log(2.0))])
-    def test_circle_mean_of_log_distance(self, a, expected):
-        # mean of log|e^{it} - a| is log max(|a|, 1)
-        result = periodic_quadrature(lambda t: np.log(np.abs(np.exp(1j * t) - a)))
-        assert result.converged
-        assert abs(result.value / (2.0 * math.pi) - expected) < 1e-9
-
-    def test_minimum_sample_guard(self):
-        with pytest.raises(ValueError):
-            periodic_quadrature(np.cos, n=4)
-
-    def test_float_protocol(self):
-        result = periodic_quadrature(lambda t: np.ones_like(t))
-        assert float(result) == pytest.approx(2.0 * math.pi)
 
 
 def _reference_kinked(f, kinks, tol=1e-11):
@@ -203,11 +195,14 @@ class TestKinkedQuadrature:
         assert result.converged
         assert_allclose(result.value, 4.0, rtol=1e-10)
 
+    def test_float_protocol(self):
+        result = integrate_periodic_kinked(lambda t: np.ones_like(t), kinks=[])
+        assert float(result) == pytest.approx(2.0 * math.pi)
+
     def test_agrees_with_trapezoid_on_smooth(self):
-        f = lambda t: np.exp(np.cos(t))
-        smooth = periodic_quadrature(f)
-        kinked = integrate_periodic_kinked(f, kinks=[1.0, 4.0])
-        assert abs(smooth.value - kinked.value) < 1e-9
+        # the periodic trapezoid rule converges to 2 pi I_0(1), the integral of exp(cos t)
+        kinked = integrate_periodic_kinked(lambda t: np.exp(np.cos(t)), kinks=[1.0, 4.0])
+        assert abs(2.0 * math.pi * float(np.i0(1.0)) - kinked.value) < 1e-9
 
     @pytest.mark.parametrize("case", ["abs_sin", "exp_cos", "ronkin", "stalled", "many_panels"])
     def test_same_bits_as_one_panel_per_call(self, case):
