@@ -1,13 +1,14 @@
 """Amoeba and Ronkin-function numerics for spectral curves.
 
 The amoeba of P is the image of its zero set under (z, w) -> (log|z|, log|w|).
-Membership at (x, y) is decided by sweeping phi in z = exp(x + i phi) and
-watching the count of w-roots below the circle |w| = exp(y): any change in the
-count, or a root grazing the circle, certifies intersection. The raster
-decides a whole pixel column at once from the real roots at z = +-exp(x)
-when its sweep shows every sorted root-modulus branch monotone on [0, pi],
-as on a Harnack curve, and takes the sweep test only where that check
-fails. The Ronkin function is evaluated by a Jensen-type reduction to a
+P is real, so the w-root moduli of z = exp(x + i phi) are even in phi, and
+the amoeba column at x is the union of the ranges of the sorted w-root
+log-modulus branches m_k(phi) over [0, pi]. Raster and point membership
+both read those ranges: the end values come from the real roots at
+z = +-exp(x), widened where a sampled interior extremum of a branch passes
+them. On a Harnack curve the amoeba map is at most 2-to-1 and critical only
+on the real locus, so the branches are monotone and the end values decide.
+The Ronkin function is evaluated by a Jensen-type reduction to a
 one-dimensional integral over phi, split at the angles where a root modulus
 crosses exp(y); its gradient has exact piecewise-constant counting
 integrands, which makes facet slopes of complement components come out at
@@ -61,7 +62,7 @@ class AmoebaGrid:
     ny: int
     membership: np.ndarray  # bool, shape (ny, nx), row iy = y index
     frame_ok: bool = True
-    refined: int = 0  # pixels of columns that failed the exact-interval check sent to the dip zoom
+    refined: int = 0  # interior branch extrema that passed their end range and were zoomed
 
     @property
     def pixel_size(self) -> tuple[float, float]:
@@ -142,56 +143,76 @@ def _w_logmods(poly: BivariatePolynomial, x: float, phis: np.ndarray) -> np.ndar
     return _root_logmods(poly.w_coefficients(np.exp(x + 1j * phis)))
 
 
-def _dips(poly: BivariatePolynomial, x: float, ys: np.ndarray, phis: np.ndarray, gaps: np.ndarray,
-          cap: float, points: int, zooms: int):
-    """Refined local minima of gap_j(phi) = min_r |log|w_r| - ys[j]| along the sweep.
+def _zoom(values, centers: np.ndarray, step: float, points: int, zooms: int):
+    """Refine local minima of a function of phi from samples at ``centers``.
 
-    ``gaps`` holds the samples on the sweep grid ``phis``, one row per level
-    in ``ys``. Each sampled local minimum below ``cap`` is zoomed ``zooms``
-    times: a ``points``-point grid over one sample step either side, then
-    over a quarter of the previous span around its best point. All dips are
-    zoomed in lockstep, one root batch per round. Returns (owner, phi, gap):
-    the row of each dip, ordered by row and then by angle, and phi and gap
-    at its last best point.
+    ``values(grid)`` evaluates the function on a (len(centers), points)
+    array of angles, one row per center. Each center is zoomed ``zooms``
+    times: a ``points``-point grid over ``step`` either side, then over a
+    quarter of the previous span around its best point. All centers are
+    zoomed in lockstep, one call of ``values`` per round. Returns phi and
+    the value at each last best point.
     """
-    is_min = (gaps <= np.roll(gaps, 1, axis=1)) & (gaps <= np.roll(gaps, -1, axis=1)) & (gaps < cap)
-    owner, idx = np.nonzero(is_min)
-    if owner.size == 0:
-        return owner, np.empty(0), np.empty(0)
-    step = 2.0 * np.pi / phis.size
-    lo, hi = phis[idx] - step, phis[idx] + step
-    levels = ys[owner][:, None, None]
-    rows = np.arange(owner.size)
+    if centers.size == 0:
+        return centers, centers
+    lo, hi = centers - step, centers + step
+    rows = np.arange(centers.size)
     for _ in range(zooms):
         grid = np.linspace(lo, hi, points, axis=1)
-        logs = _w_logmods(poly, x, np.mod(grid, 2.0 * np.pi).reshape(-1))
-        vals = np.min(np.abs(logs.reshape(owner.size, points, -1) - levels), axis=2)
+        vals = values(grid)
         k = np.argmin(vals, axis=1)
         width = (hi - lo) / 8.0
         best = grid[rows, k]
         lo, hi = best - width, best + width
-    return owner, np.mod(best, 2.0 * np.pi), vals[rows, k]
+    return best, vals[rows, k]
 
 
-def _column_members(poly: BivariatePolynomial, x: float, ys: np.ndarray, n_phi: int = 256) -> np.ndarray:
-    """Amoeba membership of (x, y) for every y in ``ys``, from one phi sweep at x.
+_RANGE_TOL = 1e-9  # slack in log|w| before a sampled interior extremum widens a branch range
 
-    A level is a member when the w-root count below exp(y) changes along the
-    sweep. Along the real locus the two conjugate intersections collide, the
-    root modulus only touches the level tangentially and the count never
-    jumps, so local minima of the modulus distance at the remaining levels
-    are refined, and a dip below 1e-7 makes the level a member.
+
+def _branch_ranges(poly: BivariatePolynomial, xs: np.ndarray):
+    """The amoeba column at each x in ``xs``, as the ranges of its sorted w-root branches.
+
+    Returns (lo, hi, zoomed): the column at xs[i] is the union of the
+    ranges [lo[i, k], hi[i, k]] of the sorted log-modulus branches m_k over
+    phi in [0, pi] (P is real, so |w| is even in phi), and ``zoomed``
+    counts the extrema refined. One root batch solves w -> P(+-e^x, w) for
+    every column, and each column gets the 160-angle sweep folded onto
+    [0, pi]. A branch's range is the range of its two end values, widened
+    where a sampled interior local extremum passes it by more than
+    ``_RANGE_TOL``. The extrema of all columns are zoomed in lockstep, 17
+    points over one sample step either side and 8 rounds, and the range
+    takes the zoomed value. A zero root has log-modulus ``_NEG_INF``.
     """
-    phis = _sweep_angles(n_phi)
-    logs = _w_logmods(poly, x, phis)
-    counts = (logs[None, :, :] < ys[:, None, None]).sum(axis=2)
-    member = counts.min(axis=1) != counts.max(axis=1)
-    rest = np.nonzero(~member)[0]
-    if rest.size:
-        gaps = np.min(np.abs(logs[None, :, :] - ys[rest, None, None]), axis=2)
-        owner, _, dip = _dips(poly, x, ys[rest], phis, gaps, cap=0.05, points=17, zooms=8)
-        member[rest[owner[dip < 1e-7]]] = True
-    return member
+    xs = np.asarray(xs, dtype=float)
+    ez = np.exp(xs)
+    ends = np.sort(_root_logmods(poly.w_coefficients(np.concatenate([ez, -ez]))), axis=1)
+    ends = ends.reshape(2, xs.size, -1)
+    lo, hi = ends.min(axis=0), ends.max(axis=0)
+    phis = _sweep_angles(160)
+    # the sweep folded onto [0, pi], in angle order
+    fold = np.argsort(np.minimum(phis, 2.0 * np.pi - phis))
+    # past[i, 0] marks the sampled interior minima below the end range of
+    # column i, past[i, 1] the maxima above it, by sweep angle and branch
+    past = np.empty((xs.size, 2, phis.size, ends.shape[2]), dtype=bool)
+    for i, x in enumerate(xs.tolist()):
+        m = np.vstack([ends[0, i], np.sort(_w_logmods(poly, x, phis)[fold], axis=1), ends[1, i]])
+        inner, before, after = m[1:-1], m[:-2], m[2:]
+        past[i, 0] = (inner <= before) & (inner <= after) & (inner < lo[i] - _RANGE_TOL)
+        past[i, 1] = (inner >= before) & (inner >= after) & (inner > hi[i] + _RANGE_TOL)
+    col, side, j, k = np.nonzero(past)
+    sign = 1.0 - 2.0 * side  # a maximum of m_k is a minimum of -m_k
+
+    def values(grid):
+        z = np.exp(xs[col, None] + 1j * grid).reshape(-1)
+        logs = np.sort(_root_logmods(poly.w_coefficients(z)).reshape(col.size, grid.shape[1], -1), axis=2)
+        return sign[:, None] * logs[np.arange(col.size), :, k]
+
+    _, best = _zoom(values, phis[fold][j], 2.0 * np.pi / phis.size, 17, 8)
+    low = sign > 0
+    np.minimum.at(lo, (col[low], k[low]), best[low])
+    np.maximum.at(hi, (col[~low], k[~low]), -best[~low])
+    return lo, hi, int(col.size)
 
 
 def _crossing_angles(logmods_fn, level: float):
@@ -224,19 +245,11 @@ def _crossing_angles(logmods_fn, level: float):
     return angles[order], counts, diff[idx][order]
 
 
-def amoeba_membership(
-    poly: BivariatePolynomial,
-    x: float,
-    y: float,
-    n_phi: int = 256,
-) -> bool:
-    """Whether (x, y) lies in the amoeba of P.
-
-    True when the w-root count below exp(y) changes along the ``n_phi``-angle
-    phi sweep, or a refined dip of the root-modulus distance falls below
-    1e-7; the one-point case of the raster's column test.
-    """
-    return bool(_column_members(poly, x, np.array([y], dtype=float), n_phi)[0])
+def amoeba_membership(poly: BivariatePolynomial, x: float, y: float) -> bool:
+    """Whether (x, y) lies in the amoeba of P: whether y lies in one of the
+    branch ranges of the column at x, the raster's rule for one column."""
+    lo, hi, _ = _branch_ranges(poly, np.array([x], dtype=float))
+    return bool(np.any((lo <= y) & (y <= hi)))
 
 
 def sample_interior(
@@ -307,28 +320,6 @@ def _frame_consistent(member: np.ndarray, grid_window, nx, ny, poly) -> bool:
     return ok
 
 
-_MONOTONE_TOL = 1e-9  # slack in log|w| for a sorted branch to count as monotone on [0, pi]
-
-
-def _branch_intervals(sweep_logs: np.ndarray, end_mods: np.ndarray):
-    """The column's exact branch ranges, or None when the hypothesis fails.
-
-    ``sweep_logs`` holds the w-root log-moduli at angles increasing through
-    (0, pi), and ``end_mods`` the root moduli at phi = 0 and phi = pi, shape
-    (2, d). With the end roots at either end of the sweep, every sorted
-    branch must be monotone to ``_MONOTONE_TOL`` and every end root finite
-    and nonzero. Returns the (lo, hi) ranges of the d sorted branches, which
-    are the ranges of their end values.
-    """
-    if not np.all(np.isfinite(end_mods) & (end_mods > 0)):
-        return None
-    ends = np.sort(np.log(end_mods), axis=1)
-    step = np.diff(np.vstack([ends[:1], np.sort(sweep_logs, axis=1), ends[1:]]), axis=0)
-    if not np.all((step >= -_MONOTONE_TOL).all(axis=0) | (step <= _MONOTONE_TOL).all(axis=0)):
-        return None
-    return ends.min(axis=0), ends.max(axis=0)
-
-
 def rasterize_amoeba(
     poly: BivariatePolynomial,
     window: tuple[float, float, float, float] | None = None,
@@ -337,65 +328,23 @@ def rasterize_amoeba(
 ) -> AmoebaGrid:
     """Pixel raster of amoeba membership.
 
-    Each pixel column x gets one 160-angle phi sweep, and one root batch
-    solves w -> P(+-e^x, w) for every column. On a Harnack curve the sorted
-    w-root log-moduli m_k(phi) are monotone on [0, pi] (the amoeba map is
-    at most 2-to-1 with its critical points on the real locus), so the
-    column is exactly the union of the ranges [m_k(0), m_k(pi)]. That is
-    checked, not assumed: when every sorted branch along the sweep, folded
-    onto [0, pi] and closed by the two real solves, is monotone to
-    ``_MONOTONE_TOL`` = 1e-9 and every end root is finite and nonzero, a
-    pixel is a member exactly when its center level lies in one of those
-    ranges. Those ranges always lie inside the column, so the exact path
-    never marks a non-member; it can miss a member only where the check
-    passes on a branch that turns between two sweep samples. Any other
-    column is decided from its sweep: the pixel at row iy is a member when
-    the root count below its center level varies over phi. A narrow
-    grazing band (capped well below the pixel size so the area estimator
-    stays unbiased) catches tangential intersections the count cannot see:
-    the column's pixels in that band get the refined test of
-    ``amoeba_membership`` together, from one finer sweep with their dips
-    zoomed in lockstep. ``AmoebaGrid.refined`` counts them.
+    A pixel is a member exactly when its center level lies in one of the
+    branch ranges of its column (``_branch_ranges``, one call for all
+    columns), with no tolerance. ``AmoebaGrid.refined`` counts the branch
+    extrema that were zoomed; on a Harnack curve the branches are monotone
+    and it reads 0.
     """
     if window is None:
         window = auto_window(poly)
     x0, x1, y0, y1 = window
     if not (x1 > x0 and y1 > y0):
         raise ValueError("window must have positive extent")
-    px = (x1 - x0) / nx
-    py = (y1 - y0) / ny
-    xc = x0 + (np.arange(nx) + 0.5) * px
-    yc = y0 + (np.arange(ny) + 0.5) * py
-    # count-constant pixels this close to the root-modulus pool may hide a
-    # narrow dip (real-locus tangency or a sub-sample crossing pair) and get
-    # the refined point query instead of the coarse verdict
-    suspect = max(1.5 * py, 4e-3)
-    phis = _sweep_angles(160)
-    # P is real, so |w| is even in phi: the sweep folded onto [0, pi], in angle order
-    fold = np.argsort(np.minimum(phis, 2.0 * np.pi - phis))
-    ez = np.exp(xc)
-    end_mods = np.abs(polyroots_batch(poly.w_coefficients(np.concatenate([ez, -ez])))).reshape(2, nx, -1)
-    member = np.empty((ny, nx), dtype=bool)
-    refined = 0
-    for ix in range(nx):
-        x = float(xc[ix])
-        logs = _w_logmods(poly, x, phis)
-        exact = _branch_intervals(logs[fold], end_mods[:, ix])
-        if exact is not None:
-            lo, hi = exact
-            member[:, ix] = ((yc[:, None] >= lo) & (yc[:, None] <= hi)).any(axis=1)
-            continue
-        counts = (logs[:, :, None] < yc[None, None, :]).sum(axis=1)
-        varying = counts.max(axis=0) != counts.min(axis=0)
-        flat = np.sort(logs.reshape(-1))
-        pos = np.searchsorted(flat, yc)
-        left = np.where(pos > 0, yc - flat[np.maximum(pos - 1, 0)], np.inf)
-        right = np.where(pos < flat.size, flat[np.minimum(pos, flat.size - 1)] - yc, np.inf)
-        member[:, ix] = varying
-        rows = np.nonzero(~varying & (np.minimum(left, right) < suspect))[0]
-        if rows.size:
-            member[rows, ix] = _column_members(poly, x, yc[rows])
-            refined += int(rows.size)
+    xc = x0 + (np.arange(nx) + 0.5) * (x1 - x0) / nx
+    yc = y0 + (np.arange(ny) + 0.5) * (y1 - y0) / ny
+    lo, hi, refined = _branch_ranges(poly, xc)
+    member = np.zeros((ny, nx), dtype=bool)
+    for k in range(lo.shape[1]):
+        member |= (yc[:, None] >= lo[:, k]) & (yc[:, None] <= hi[:, k])
     frame_ok = _frame_consistent(member, window, nx, ny, poly)
     return AmoebaGrid(window=window, nx=nx, ny=ny, membership=member, frame_ok=frame_ok, refined=refined)
 
@@ -567,17 +516,13 @@ def _hole_from_component(poly, grid, comp):
     px, py = grid.pixel_size
     iy, ix = _deep_pixel(comp)
     x, y = float(xc[ix]), float(yc[iy])
-    if amoeba_membership(poly, x, y, n_phi=512):
-        # raster artifact: the pixel is actually inside the amoeba
-        return None
     gx, gy = gradient_ronkin(poly, x, y)
     order = (round(gx), round(gy))
     if abs(gx - order[0]) > 1e-3 or abs(gy - order[1]) > 1e-3:
         # R is affine on a true complement component, so its gradient is an
         # integer pair to machine precision there. A fractional gradient means
-        # the pixel sits inside the amoeba on the conjugate-collision line
-        # where the membership probe can misfire; the component is a raster
-        # sliver, not a hole.
+        # the pixel sits inside the amoeba, in a range the raster's sampled
+        # sweep missed; the component is a raster sliver, not a hole.
         return None
     d = poly.d
     if not (0 <= order[0] and 0 <= order[1] and order[0] + order[1] <= d):
@@ -699,7 +644,6 @@ def legendre_transform(poly: BivariatePolynomial, s: float, t: float) -> float:
     d = poly.d
     if not (-1e-12 <= s and -1e-12 <= t and s + t <= d + 1e-12):
         raise ValueError("dual point outside the Newton triangle")
-    x, y = 0.0, 0.0
     win = auto_window(poly, pad=1.0)
     x = 0.5 * (win[0] + win[1])
     y = 0.5 * (win[2] + win[3])
@@ -897,10 +841,15 @@ def two_to_one_check(
     """
     phis = _sweep_angles(512)
     gap = np.min(np.abs(_w_logmods(poly, x, phis) - y), axis=1)
-    _, dip_phis, dips = _dips(poly, x, np.array([y], dtype=float), phis, gap[None, :],
-                              cap=0.3, points=33, zooms=10)
+    idx = np.nonzero((gap <= np.roll(gap, 1)) & (gap <= np.roll(gap, -1)) & (gap < 0.3))[0]
+
+    def gaps(grid):
+        logs = _w_logmods(poly, x, np.mod(grid, 2.0 * np.pi).reshape(-1))
+        return np.min(np.abs(logs.reshape(idx.size, 33, -1) - y), axis=2)
+
+    dip_phis, dips = _zoom(gaps, phis[idx], 2.0 * np.pi / phis.size, 33, 10)
     events: list[tuple[float, float]] = []
-    for phi in dip_phis[dips < 1e-6].tolist():
+    for phi in np.mod(dip_phis[dips < 1e-6], 2.0 * np.pi).tolist():
         z = np.exp(x + 1j * phi)
         rts = polyroots_batch(poly.w_coefficients(np.array([z])))[0]
         w = rts[int(np.argmin(np.abs(np.log(np.maximum(np.abs(rts), 1e-300)) - y)))]

@@ -27,7 +27,7 @@ smallest; the tori are chosen by greedy cover (``characteristic_polynomial``).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,14 +108,12 @@ class BoundaryPoints:
 
     ``on_w0`` holds the z-roots of P(z, 0), ``on_z0`` the w-roots of P(0, w),
     ``at_inf`` the roots of the leading form in s = z/w. Each list is real
-    with constant sign for Harnack curves. ``ordering`` optionally ties each
-    point to the zig-zag cycle producing it.
+    with constant sign for Harnack curves.
     """
 
     on_w0: np.ndarray
     on_z0: np.ndarray
     at_inf: np.ndarray
-    ordering: dict[str, list[int]] | None = field(default=None)
 
     def constant_signs(self) -> bool:
         return all(

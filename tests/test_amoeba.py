@@ -102,147 +102,88 @@ def _oracle_logmods(poly, x, phis):
     return np.where(mods > 0, np.log(np.where(mods > 0, mods, 1.0)), -745.0)
 
 
-def _oracle_membership(poly, x, y, n_phi=256, dip_tol=1e-7):
-    """Point membership as one sequential test: a 256-angle sweep, the count
-    test, then each dip below 0.05 zoomed on its own (17 points, 8 zooms)."""
-    phis = 2.0 * np.pi * (np.arange(n_phi) + 0.382) / n_phi
-    logs = _oracle_logmods(poly, x, phis)
-    counts = (logs < y).sum(axis=1)
-    if counts.min() != counts.max():
-        return True
-    gap = np.min(np.abs(logs - y), axis=1)
-    step = 2.0 * np.pi / n_phi
-    for idx in np.nonzero((gap <= np.roll(gap, 1)) & (gap <= np.roll(gap, -1)) & (gap < 0.05))[0]:
-        lo, hi = phis[idx] - step, phis[idx] + step
-        for _ in range(8):
-            grid = np.linspace(lo, hi, 17)
-            vals = np.min(np.abs(_oracle_logmods(poly, x, np.mod(grid, 2.0 * np.pi)) - y), axis=1)
-            k = int(np.argmin(vals))
-            width = (hi - lo) / 8.0
-            lo, hi = grid[k] - width, grid[k] + width
-        if vals[k] < dip_tol:
-            return True
-    return False
+def _dense_ranges(poly, x, n_phi=20001):
+    """(lo, hi) of each sorted w-root log-modulus branch over a dense sweep
+    of [0, pi], assuming nothing about the curve."""
+    logs = np.sort(_oracle_logmods(poly, float(x), np.linspace(0.0, np.pi, n_phi)), axis=1)
+    return logs.min(axis=0), logs.max(axis=0)
 
 
-def _oracle_raster(poly, window, n, n_phi=160):
-    """The raster with each suspect pixel refined on its own by ``_oracle_membership``.
-
-    Returns the membership, the number of suspect pixels and how many of them
-    turned out members."""
-    x0, x1, y0, y1 = window
-    py = (y1 - y0) / n
-    xc = x0 + (np.arange(n) + 0.5) * (x1 - x0) / n
-    yc = y0 + (np.arange(n) + 0.5) * py
-    phis = 2.0 * np.pi * (np.arange(n_phi) + 0.382) / n_phi
-    member = np.empty((n, n), dtype=bool)
-    sent = grazed = 0
-    for ix in range(n):
-        x = float(xc[ix])
-        logs = _oracle_logmods(poly, x, phis)
-        counts = (logs[:, :, None] < yc[None, None, :]).sum(axis=1)
-        varying = counts.max(axis=0) != counts.min(axis=0)
-        dist = np.min(np.abs(logs.reshape(-1)[:, None] - yc[None, :]), axis=0)
-        member[:, ix] = varying
-        for iy in np.nonzero(~varying & (dist < max(1.5 * py, 4e-3)))[0]:
-            member[iy, ix] = _oracle_membership(poly, x, float(yc[iy]))
-            sent += 1
-            grazed += int(member[iy, ix])
-    return member, sent, grazed
-
-
-def _fallback_spy(monkeypatch):
-    """Record, column by column, whether the raster's exact-interval check passed."""
-    passed = []
-    check = amoeba_mod._branch_intervals
-
-    def spy(*args):
-        out = check(*args)
-        passed.append(out is not None)
-        return out
-
-    monkeypatch.setattr(amoeba_mod, "_branch_intervals", spy)
-    return passed
-
-
-class TestColumnRefinement:
-    """A column that fails the exact-interval check is decided by the dip
-    path, which refines its suspect pixels together; the verdicts must equal
-    refining each pixel on its own."""
-
-    @pytest.mark.parametrize("d, seed, half, n", [(3, 2026, 1.0, 120), (4, 1, 0.5, 64)])
-    def test_raster_matches_per_pixel_oracle(self, d, seed, half, n, monkeypatch):
-        monkeypatch.setattr(amoeba_mod, "_branch_intervals", lambda *args: None)
-        poly = characteristic_polynomial(EdgeWeights.random(d, np.random.default_rng(seed)))
-        x0, x1, y0, y1 = auto_window(poly)
-        cx, cy, hx, hy = 0.5 * (x0 + x1), 0.5 * (y0 + y1), 0.5 * half * (x1 - x0), 0.5 * half * (y1 - y0)
-        window = (cx - hx, cx + hx, cy - hy, cy + hy)
-        grid = rasterize_amoeba(poly, window=window, nx=n, ny=n)
-        member, sent, grazed = _oracle_raster(poly, window, n)
-        assert np.array_equal(grid.membership, member)
-        assert grid.refined == sent
-        assert grazed > 0  # some suspect pixels are members: the dip zoom decided them
-
-    def test_non_monotone_columns_fall_back(self, monkeypatch):
-        # off the Harnack family the middle branch dips below its phi = 0
-        # value for |x| <= 0.04, so those columns take the dip path unforced
-        passed = _fallback_spy(monkeypatch)
-        poly = perturbed_u3(0.90)
-        window = (-0.05, 0.05, -0.5, 2.5)
-        grid = rasterize_amoeba(poly, window=window, nx=24, ny=24)
-        member, _, _ = _oracle_raster(poly, window, 24)
-        assert np.array_equal(grid.membership, member)
-        assert grid.refined > 0
-        assert not all(passed) and any(passed)
-
-    def test_zero_end_root_falls_back(self, monkeypatch):
-        # 1 + z + w has the root w = 0 at z = -1: the column x = 0 (the
-        # middle one of 21) has an end root of modulus 0 and must fall back
-        passed = _fallback_spy(monkeypatch)
-        poly = characteristic_polynomial(EdgeWeights.uniform(1))
-        window = (-1.0, 1.0, -6.0, 2.0)
-        grid = rasterize_amoeba(poly, window=window, nx=21, ny=21)
-        assert grid.x_centers()[10] == 0.0
-        assert [ix for ix, ok in enumerate(passed) if not ok] == [10]
-        member, _, _ = _oracle_raster(poly, window, 21)
-        assert np.array_equal(grid.membership, member)
-
-    def test_membership_matches_oracle(self):
-        poly = characteristic_polynomial(EdgeWeights.random(3, np.random.default_rng(2026)))
-        x0, x1, y0, y1 = auto_window(poly, pad=0.5)
-        rng = np.random.default_rng(8)
-        points = [(float(rng.uniform(x0, x1)), float(rng.uniform(y0, y1))) for _ in range(20)]
-        # points on the real locus: the count never jumps there, only a dip can see them
-        for k, x in enumerate(np.linspace(x0, x1, 20)):
-            roots = polyroots_batch(poly.w_coefficients(np.array([(-1) ** k * math.exp(x)])))[0]
-            real = roots[np.abs(roots.imag) < 1e-12 * np.abs(roots)]
-            points.append((float(x), float(np.log(np.abs(real[0].real)))))
-        verdicts = [amoeba_membership(poly, x, y) for x, y in points]
-        assert verdicts == [_oracle_membership(poly, x, y) for x, y in points]
-        assert all(verdicts[20:])
-
-
-def _dense_raster(poly, grid, n_phi=20001):
-    """Reference membership from a dense sweep of [0, pi], assuming nothing.
+def _dense_raster(poly, grid):
+    """Reference membership from a dense sweep of each column.
 
     A pixel is a member when its level lies within [min, max] of some sorted
-    w-root log-modulus branch over the sweep; ``near`` marks the pixels
-    within 1e-3 of such a range endpoint, where the sweep cannot decide."""
+    branch over the sweep; ``near`` marks the pixels within 1e-3 of such a
+    range endpoint, where the sweep cannot decide."""
     yc = grid.y_centers()[:, None]
-    phis = np.linspace(0.0, np.pi, n_phi)
     member = np.empty_like(grid.membership)
     near = np.empty_like(grid.membership)
     for ix, x in enumerate(grid.x_centers()):
-        logs = np.sort(_oracle_logmods(poly, float(x), phis), axis=1)
-        lo, hi = logs.min(axis=0), logs.max(axis=0)
+        lo, hi = _dense_ranges(poly, x)
         member[:, ix] = ((yc >= lo) & (yc <= hi)).any(axis=1)
         near[:, ix] = (np.minimum(np.abs(yc - lo), np.abs(yc - hi)) < 1e-3).any(axis=1)
     return member, near
 
 
+class TestColumnRefinement:
+    """Raster and point membership share one rule: the union of the sorted
+    branch ranges over [0, pi], where an interior extremum that passes a
+    branch's end range is zoomed. The rule must agree with a dense sweep."""
+
+    def test_non_monotone_columns_match_dense_sweep(self):
+        # off the Harnack family the middle branch dips below its phi = 0
+        # value for |x| <= 0.04, so those columns zoom an interior minimum
+        poly = perturbed_u3(0.90)
+        grid = rasterize_amoeba(poly, window=(-0.05, 0.05, -0.5, 2.5), nx=24, ny=24)
+        member, near = _dense_raster(poly, grid)
+        assert grid.refined > 0
+        assert np.array_equal(grid.membership[~near], member[~near])
+        assert member[~near].any() and not member[~near].all()
+
+    def test_zero_end_root_matches_dense_sweep(self, line_poly):
+        # 1 + z + w has the root w = 0 at z = -1: the column x = 0 (the
+        # middle one of 21) reaches down to the frame, its neighbours do not
+        grid = rasterize_amoeba(line_poly, window=(-1.0, 1.0, -6.0, 2.0), nx=21, ny=21)
+        assert grid.x_centers()[10] == 0.0
+        assert grid.membership[0, 10] and not grid.membership[0, 9] and not grid.membership[0, 11]
+        member, near = _dense_raster(line_poly, grid)
+        assert np.array_equal(grid.membership[~near], member[~near])
+
+    def test_membership_matches_oracle(self):
+        poly = characteristic_polynomial(EdgeWeights.random(3, np.random.default_rng(2026)))
+        x0, x1, y0, y1 = auto_window(poly, pad=0.5)
+        rng = np.random.default_rng(8)
+        verdicts, expected = [], []
+        for x in rng.uniform(x0, x1, 8).tolist():
+            lo, hi = _dense_ranges(poly, x)
+            ends = np.concatenate([lo, hi])
+            # random levels, and levels 1e-6 either side of every branch end:
+            # the real locus, where a root-count test sees nothing
+            for y in np.concatenate([rng.uniform(y0, y1, 3), ends - 1e-6, ends + 1e-6]).tolist():
+                assert np.min(np.abs(ends - y)) > 1e-7
+                verdicts.append(amoeba_membership(poly, x, y))
+                expected.append(bool(np.any((lo <= y) & (y <= hi))))
+        assert verdicts == expected
+        assert 20 < sum(expected) < len(expected) - 20
+
+    def test_point_rule_equals_raster_rule(self):
+        # pixel centres (ix, iy) that an earlier 256-angle point test missed
+        cases = [
+            (3, 2026, 120, [(19, 27), (21, 27), (74, 52), (74, 53)]),
+            (4, 1, 360, [(138, 288)]),
+        ]
+        for d, seed, n, pixels in cases:
+            poly = characteristic_polynomial(EdgeWeights.random(d, np.random.default_rng(seed)))
+            grid = rasterize_amoeba(poly, nx=n, ny=n)
+            xc, yc = grid.x_centers(), grid.y_centers()
+            for ix, iy in pixels:
+                assert grid.membership[iy, ix]
+                assert amoeba_membership(poly, float(xc[ix]), float(yc[iy]))
+
+
 class TestExactColumns:
-    """On Harnack curves every column passes the monotone check and the
-    raster equals a dense-sweep reference."""
+    """On Harnack curves the branches are monotone, so no extremum is zoomed,
+    and the raster equals a dense-sweep reference."""
 
     @pytest.mark.parametrize("d, seed, max_near", [(3, 2026, 8), (4, 1, 2)])
     def test_raster_matches_dense_sweep(self, d, seed, max_near):
@@ -259,12 +200,12 @@ class TestExactColumns:
 
 class TestRaster:
     def test_refined_pixels_reported(self):
-        # refined counts the pixels of columns that took the dip path
+        # refined counts the branch extrema that passed their end range
         poly = characteristic_polynomial(EdgeWeights.random(3, np.random.default_rng(2026)))
         assert rasterize_amoeba(poly, nx=120, ny=120).refined == 0
         squeezed = rasterize_amoeba(perturbed_u3(0.90), window=(-0.05, 0.05, -0.5, 2.5), nx=24, ny=24)
         assert squeezed.refined > 0
-        # far from every tentacle nothing is near the root-modulus pool
+        # far from every tentacle the branches are monotone too
         assert rasterize_amoeba(poly, window=(20.0, 22.0, -22.0, -20.0), nx=16, ny=16).refined == 0
 
     def test_interior_never_marks_the_frame(self):
