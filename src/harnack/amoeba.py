@@ -9,10 +9,11 @@ z = +-exp(x), widened where a sampled interior extremum of a branch passes
 them. On a Harnack curve the amoeba map is at most 2-to-1 and critical only
 on the real locus, so the branches are monotone and the end values decide.
 The Ronkin function is evaluated by a Jensen-type reduction to a
-one-dimensional integral over phi, split at the angles where a root modulus
-crosses exp(y); its gradient has exact piecewise-constant counting
-integrands, which makes facet slopes of complement components come out at
-nearly machine precision.
+one-dimensional integral over the half period [0, pi], split at the angles
+where a root modulus crosses exp(y); its gradient has exact
+piecewise-constant counting integrands over the same half period, which
+makes facet slopes of complement components come out at nearly machine
+precision. Raster, Ronkin, gradient and volume all read [0, pi] only.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kasteleyn import BivariatePolynomial, BoundaryPoints, boundary_points
-from .numerics import integrate_panels, integrate_periodic_kinked, polyroots_batch
+from .numerics import integrate_panels, polyroots_batch
 
 __all__ = [
     "AmoebaGrid",
@@ -132,6 +133,12 @@ def _sweep_angles(n_phi: int) -> np.ndarray:
     return 2.0 * np.pi * (np.arange(n_phi) + 0.382) / n_phi
 
 
+def _half_sweep(n_phi: int) -> np.ndarray:
+    """The n_phi-angle sweep folded onto [0, pi], in angle order."""
+    phis = _sweep_angles(n_phi)
+    return np.sort(np.minimum(phis, 2.0 * np.pi - phis))
+
+
 def _root_logmods(rows: np.ndarray) -> np.ndarray:
     """log|root| for each coefficient row, shape (rows, degree); _NEG_INF for a zero root."""
     mods = np.abs(polyroots_batch(rows))
@@ -189,14 +196,12 @@ def _branch_ranges(poly: BivariatePolynomial, xs: np.ndarray):
     ends = np.sort(_root_logmods(poly.w_coefficients(np.concatenate([ez, -ez]))), axis=1)
     ends = ends.reshape(2, xs.size, -1)
     lo, hi = ends.min(axis=0), ends.max(axis=0)
-    phis = _sweep_angles(160)
-    # the sweep folded onto [0, pi], in angle order
-    fold = np.argsort(np.minimum(phis, 2.0 * np.pi - phis))
+    phis = _half_sweep(160)
     # past[i, 0] marks the sampled interior minima below the end range of
     # column i, past[i, 1] the maxima above it, by sweep angle and branch
     past = np.empty((xs.size, 2, phis.size, ends.shape[2]), dtype=bool)
     for i, x in enumerate(xs.tolist()):
-        m = np.vstack([ends[0, i], np.sort(_w_logmods(poly, x, phis)[fold], axis=1), ends[1, i]])
+        m = np.vstack([ends[0, i], np.sort(_w_logmods(poly, x, phis), axis=1), ends[1, i]])
         inner, before, after = m[1:-1], m[:-2], m[2:]
         past[i, 0] = (inner <= before) & (inner <= after) & (inner < lo[i] - _RANGE_TOL)
         past[i, 1] = (inner >= before) & (inner >= after) & (inner > hi[i] + _RANGE_TOL)
@@ -208,41 +213,37 @@ def _branch_ranges(poly: BivariatePolynomial, xs: np.ndarray):
         logs = np.sort(_root_logmods(poly.w_coefficients(z)).reshape(col.size, grid.shape[1], -1), axis=2)
         return sign[:, None] * logs[np.arange(col.size), :, k]
 
-    _, best = _zoom(values, phis[fold][j], 2.0 * np.pi / phis.size, 17, 8)
+    _, best = _zoom(values, phis[j], 2.0 * np.pi / phis.size, 17, 8)
     low = sign > 0
     np.minimum.at(lo, (col[low], k[low]), best[low])
     np.maximum.at(hi, (col[~low], k[~low]), -best[~low])
     return lo, hi, int(col.size)
 
 
-def _crossing_angles(logmods_fn, level: float):
-    """Angles where the root count below ``level`` jumps, with interval data.
+def _crossings(logmods_fn, level: float) -> np.ndarray:
+    """Sorted angles in (0, pi) where the number of root log-moduli below ``level`` changes.
 
-    Returns (angles, counts, jumps): sorted crossing angles in [0, 2pi), the
-    root count on the 256-angle sweep, and the signed jump at each crossing.
-    Crossings are refined by vectorized bisection on the count function, at
-    most 50 halvings.
+    ``logmods_fn(angles)`` returns the log-moduli at each angle, shape
+    (angles, degree), even in the angle because P is real. The count is
+    read on the 256-angle sweep folded onto [0, pi] plus the real ends 0
+    and pi, and every bracket where it changes is bisected, all in
+    lockstep: at most 50 halvings, stopping once every bracket is below
+    1e-14.
     """
-    phis = _sweep_angles(256)
+    phis = np.concatenate([[0.0], _half_sweep(256), [np.pi]])
     counts = (logmods_fn(phis) < level).sum(axis=1)
-    diff = np.diff(np.concatenate([counts, counts[:1]]))
-    idx = np.nonzero(diff)[0]
+    idx = np.flatnonzero(np.diff(counts))
     if idx.size == 0:
-        return np.empty(0), counts, np.empty(0, dtype=int)
-    lo = phis[idx]
-    hi = np.where(idx + 1 < phis.size, phis[(idx + 1) % phis.size], phis[0] + 2.0 * np.pi)
-    clo = counts[idx]
+        return np.empty(0)
+    lo, hi, below = phis[idx], phis[idx + 1], counts[idx]
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        cmid = (logmods_fn(np.mod(mid, 2.0 * np.pi)) < level).sum(axis=1)
-        take_hi = cmid != clo
+        take_hi = (logmods_fn(mid) < level).sum(axis=1) != below
         hi = np.where(take_hi, mid, hi)
         lo = np.where(take_hi, lo, mid)
         if np.max(hi - lo) < 1e-14:
             break
-    angles = np.mod(0.5 * (lo + hi), 2.0 * np.pi)
-    order = np.argsort(angles)
-    return angles[order], counts, diff[idx][order]
+    return 0.5 * (lo + hi)
 
 
 def amoeba_membership(poly: BivariatePolynomial, x: float, y: float) -> bool:
@@ -373,10 +374,12 @@ def ronkin(poly: BivariatePolynomial, x: float, y: float) -> float:
     """Ronkin function R(x, y) of P.
 
     Averages log|P(e^{x+i phi}, e^{y+i psi})| over the torus; the psi average
-    collapses by Jensen's formula to log|p_{0,d}| + sum_r max(y, log|w_r|),
-    which is integrated over phi with panels split at the crossing angles,
-    to the 1e-11 default tolerance of ``integrate_periodic_kinked``. Raises
-    RuntimeError when that quadrature does not converge.
+    collapses by Jensen's formula to log|p_{0,d}| + sum_r max(y, log|w_r|).
+    That integrand is even in phi (P is real), so it is integrated over
+    [0, pi] with panels split at the crossings of y (``_crossings``), to
+    1e-11 by ``integrate_panels``, the kernel and half-period convention of
+    ``_column_integrals``. Raises RuntimeError when that quadrature does not
+    converge.
     """
     lead = abs(poly.corner("w"))
     if lead == 0.0:
@@ -385,59 +388,42 @@ def ronkin(poly: BivariatePolynomial, x: float, y: float) -> float:
     def logs_at(phis):
         return _w_logmods(poly, x, phis)
 
-    kinks, _, _ = _crossing_angles(logs_at, y)
-
-    def integrand(phis):
-        return np.maximum(y, _w_logmods(poly, x, phis)).sum(axis=1)
-
-    q = integrate_periodic_kinked(integrand, kinks)
+    edges = np.concatenate([[0.0], _crossings(logs_at, y), [math.pi]])
+    q = integrate_panels(lambda phis, owner: np.maximum(y, logs_at(phis)).sum(axis=1), [edges], 1e-11)[0]
     if not q.converged:
         raise RuntimeError(f"no convergence: Ronkin quadrature at ({x}, {y}) after {q.n} evaluations")
-    return math.log(lead) + q.value / (2.0 * math.pi)
+    return math.log(lead) + q.value / math.pi
 
 
 def gradient_ronkin(poly: BivariatePolynomial, x: float, y: float) -> tuple[float, float]:
     """Exact gradient of the Ronkin function via root-count averages.
 
-    dR/dy is the mean over phi of the number of w-roots inside |w| < e^y;
-    dR/dx the mean over psi of the number of z-roots inside |z| < e^x. Both
-    integrands are piecewise constant, so the averages reduce to the crossing
-    angles found by bisection; on complement components they are integers to
-    machine precision.
+    dR/dx is the mean over psi of the number of z-roots inside |z| < e^x,
+    dR/dy the mean over phi of the number of w-roots inside |w| < e^y. Both
+    counts are even in the angle and piecewise constant, so each mean is
+    the sum over the segments of [0, pi] between crossings (``_crossings``)
+    of segment length times the count at the segment midpoint, over pi. On
+    complement components they are integers to machine precision.
     """
     out = []
-    for which in ("x", "y"):
-        if which == "y":
-            fn = lambda phis: _w_logmods(poly, x, phis)
-            level = y
-        else:
-            fn = lambda psis: _root_logmods(poly.z_coefficients(np.exp(y + 1j * psis)))
-            level = x
-        angles, counts, jumps = _crossing_angles(fn, level)
-        if angles.size == 0:
-            out.append(float(counts[0]))
-            continue
-        # counts between consecutive crossing angles: start from the count at
-        # the first sample beyond angles[-1], then accumulate jumps
-        probe = np.mod(angles[0] - 1e-9, 2.0 * np.pi)
-        base = int((fn(np.array([probe])) < level).sum())
-        total = 0.0
-        current = base
-        for k in range(angles.size):
-            current = current + int(jumps[k])
-            seg = (angles[(k + 1) % angles.size] - angles[k]) % (2.0 * np.pi)
-            total += current * seg
-        out.append(total / (2.0 * math.pi))
+    for logmods_fn, level in (
+        (lambda psis: _root_logmods(poly.z_coefficients(np.exp(y + 1j * psis))), x),
+        (lambda phis: _w_logmods(poly, x, phis), y),
+    ):
+        edges = np.concatenate([[0.0], _crossings(logmods_fn, level), [math.pi]])
+        counts = (logmods_fn(0.5 * (edges[:-1] + edges[1:])) < level).sum(axis=1)
+        # edges in units of pi: a single segment has length 1.0, so a constant count stays exact
+        out.append(float(np.dot(np.diff(edges / math.pi), counts)))
     return out[0], out[1]
 
 
-def _hessian_fd(poly, x, y, h):
-    r = lambda xx, yy: ronkin(poly, xx, yy)
-    r0 = r(x, y)
-    rxx = (r(x + h, y) + r(x - h, y) - 2.0 * r0) / h ** 2
-    ryy = (r(x, y + h) + r(x, y - h) - 2.0 * r0) / h ** 2
-    rxy = (r(x + h, y + h) + r(x - h, y - h) - r(x + h, y - h) - r(x - h, y + h)) / (4.0 * h ** 2)
-    return np.array([[rxx, rxy], [rxy, ryy]])
+def _hessian_fd(f, x, y, h):
+    """Central-difference Hessian of f at (x, y), step h: nine evaluations of f."""
+    f0 = f(x, y)
+    fxx = (f(x + h, y) + f(x - h, y) - 2.0 * f0) / h ** 2
+    fyy = (f(x, y + h) + f(x, y - h) - 2.0 * f0) / h ** 2
+    fxy = (f(x + h, y + h) + f(x - h, y - h) - f(x + h, y - h) - f(x - h, y + h)) / (4.0 * h ** 2)
+    return np.array([[fxx, fxy], [fxy, fyy]])
 
 
 def monge_ampere_residual(
@@ -457,7 +443,7 @@ def monge_ampere_residual(
         raise ValueError("point outside amoeba")
     if not _ring_inside(poly, x, y, 3 * h):
         raise ValueError("point too close to amoeba boundary")
-    hess = _hessian_fd(poly, x, y, h)
+    hess = _hessian_fd(lambda xx, yy: ronkin(poly, xx, yy), x, y, h)
     det = hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2
     return float(det - 1.0 / math.pi ** 2)
 
@@ -683,12 +669,8 @@ def legendre_dual_residual(poly: BivariatePolynomial, s: float, t: float) -> flo
 
     The dual Monge-Ampere check.
     """
-    h = 1e-2
-    rv = lambda ss, tt: legendre_transform(poly, ss, tt)
-    vxx = (rv(s + h, t) + rv(s - h, t) - 2.0 * rv(s, t)) / h ** 2
-    vyy = (rv(s, t + h) + rv(s, t - h) - 2.0 * rv(s, t)) / h ** 2
-    vxy = (rv(s + h, t + h) + rv(s - h, t - h) - rv(s + h, t - h) - rv(s - h, t + h)) / (4.0 * h ** 2)
-    return float(vxx * vyy - vxy ** 2 - math.pi ** 2)
+    hess = _hessian_fd(lambda ss, tt: legendre_transform(poly, ss, tt), s, t, 1e-2)
+    return float(hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2 - math.pi ** 2)
 
 
 def _column_integrals(poly: BivariatePolynomial, xs, y0, y1) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import integrate
 
 from harnack import (
     BivariatePolynomial,
@@ -24,6 +25,7 @@ from harnack import (
     monge_ampere_residual,
     rasterize_amoeba,
     ronkin,
+    sample_interior,
     trace_real_ovals,
     two_to_one_check,
     verify_harnack,
@@ -97,9 +99,13 @@ class TestMembership:
             assert amoeba_membership(moved, x, y) == amoeba_membership(base, x + bx, y + by)
 
 
-def _oracle_logmods(poly, x, phis):
-    mods = np.abs(polyroots_batch(poly.w_coefficients(np.exp(x + 1j * phis))))
+def _rows_logmods(rows):
+    mods = np.abs(polyroots_batch(rows))
     return np.where(mods > 0, np.log(np.where(mods > 0, mods, 1.0)), -745.0)
+
+
+def _oracle_logmods(poly, x, phis):
+    return _rows_logmods(poly.w_coefficients(np.exp(x + 1j * phis)))
 
 
 def _dense_ranges(poly, x, n_phi=20001):
@@ -198,6 +204,86 @@ class TestExactColumns:
         assert member.any() and not member.all()
 
 
+def _logs_w(poly, x):
+    """phi -> log|w_r| of the roots of w -> P(e^{x+i phi}, w)."""
+    return lambda phis: _oracle_logmods(poly, x, np.asarray(phis, dtype=float))
+
+
+def _logs_z(poly, y):
+    """psi -> log|z_r| of the roots of z -> P(z, e^{y+i psi})."""
+    return lambda psis: _rows_logmods(poly.z_coefficients(np.exp(y + 1j * np.asarray(psis, dtype=float))))
+
+
+def _dense_edges(logs, level, n_phi=20001):
+    """0, the angles in (0, pi) where the count of log-moduli below level
+    changes, and pi: a dense sweep, then 60 scalar halvings of each bracket."""
+    phis = np.linspace(0.0, np.pi, n_phi)
+    counts = (logs(phis) < level).sum(axis=1)
+    out = [0.0]
+    for i in np.flatnonzero(np.diff(counts)).tolist():
+        lo, hi = phis[i], phis[i + 1]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if (logs([mid]) < level).sum() == counts[i]:
+                lo = mid
+            else:
+                hi = mid
+        out.append(0.5 * (lo + hi))
+    return np.array(out + [np.pi])
+
+
+def _segment_mean(logs, level, edges):
+    """Mean count below level over [0, pi]: segment lengths times midpoint counts, over pi."""
+    counts = (logs(0.5 * (edges[:-1] + edges[1:])) < level).sum(axis=1)
+    return float(np.dot(np.diff(edges), counts)) / math.pi
+
+
+def _split_oracle(poly, x, y):
+    """R(x, y) and its gradient from the edges that ``_dense_edges`` finds.
+
+    R is log|p_{0,d}| plus scipy quad of sum_r max(y, log|w_r|) over [0, pi],
+    one call per segment, over pi; each gradient part is a ``_segment_mean``."""
+    logs_z, logs_w = _logs_z(poly, y), _logs_w(poly, x)
+    edges = _dense_edges(logs_w, y)
+    gradient = [_segment_mean(logs_z, x, _dense_edges(logs_z, x)), _segment_mean(logs_w, y, edges)]
+    f = lambda phi: float(np.maximum(y, logs_w([phi])).sum())
+    segments = zip(edges[:-1], edges[1:])
+    total = sum(integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0] for a, b in segments)
+    return math.log(abs(poly.corner("w"))) + total / math.pi, gradient
+
+
+def _dense_count_mean(logs, level, n=100_000):
+    """Mean count below level at n midpoints of [0, pi]; each crossing costs at most 0.5 / n."""
+    mids = (np.arange(n) + 0.5) * np.pi / n
+    return float(np.mean(np.concatenate([(logs(c) < level).sum(axis=1) for c in np.array_split(mids, 10)])))
+
+
+class TestRonkinOracle:
+    """Ronkin value and gradient against quadrature split at crossings that a
+    20,001-angle sweep of [0, pi] finds."""
+
+    def test_crossing_next_to_the_real_locus(self):
+        # c07 model 0: the one w-crossing in [0, pi] sits at phi = 3.138403,
+        # 0.0032 below pi; a full-period sweep puts its mirror crossing in the
+        # same bracket, sees no count change and misses both
+        poly = characteristic_polynomial(EdgeWeights.random(3, np.random.default_rng(2026)))
+        x, y = -2.889383963677699, -0.7218804757140194
+        assert _dense_edges(_logs_w(poly, x), y).size == 3
+        assert _dense_edges(_logs_z(poly, y), x).size == 3
+        gx, gy = gradient_ronkin(poly, x, y)
+        assert abs(gx - _dense_count_mean(_logs_z(poly, y), x)) < 1e-5
+        assert abs(gy - _dense_count_mean(_logs_w(poly, x), y)) < 1e-5
+        assert abs(ronkin(poly, x, y) - _split_oracle(poly, x, y)[0]) < 1e-10
+
+    @pytest.mark.parametrize("d, seed", [(3, 19), (4, 3)], ids=["rand3", "c13-rand4"])
+    def test_interior_points_match_split_quadrature(self, d, seed):
+        poly = characteristic_polynomial(EdgeWeights.random(d, np.random.default_rng(seed)))
+        for x, y in sample_interior(poly, 8, np.random.default_rng(7)):
+            value, gradient = _split_oracle(poly, x, y)
+            assert abs(ronkin(poly, x, y) - value) < 1e-10
+            assert_allclose(gradient_ronkin(poly, x, y), gradient, rtol=0, atol=1e-9)
+
+
 class TestRaster:
     def test_refined_pixels_reported(self):
         # refined counts the branch extrema that passed their end range
@@ -241,11 +327,11 @@ class TestRaster:
 
 class TestQuadratureConvergence:
     @staticmethod
-    def _stalled(f, kinks, tol=1e-11, max_rounds=30):
-        return QuadratureResult(0.0, 48, False)
+    def _stalled(f, edges, tol):
+        return [QuadratureResult(0.0, 48, False)] * len(edges)
 
     def test_unconverged_ronkin_raises(self, line_poly, monkeypatch):
-        monkeypatch.setattr("harnack.amoeba.integrate_periodic_kinked", self._stalled)
+        monkeypatch.setattr("harnack.amoeba.integrate_panels", self._stalled)
         with pytest.raises(RuntimeError, match="no convergence"):
             ronkin(line_poly, 0.0, 0.0)
 

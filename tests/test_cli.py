@@ -152,8 +152,8 @@ class TestRonkin:
         assert payload["value"] == pytest.approx(3.0, abs=1e-9)
 
     def test_unconverged_quadrature_exits_two(self, capsys, line_poly_file, monkeypatch):
-        stalled = lambda f, kinks, tol=1e-11, max_rounds=30: QuadratureResult(0.0, 48, False)
-        monkeypatch.setattr("harnack.amoeba.integrate_periodic_kinked", stalled)
+        stalled = lambda f, edges, tol: [QuadratureResult(0.0, 48, False)] * len(edges)
+        monkeypatch.setattr("harnack.amoeba.integrate_panels", stalled)
         code, out, err = run(capsys, ["ronkin", "--poly", line_poly_file, "--at", "0,0"])
         assert code == 2 and out == ""
         payload = json.loads(err)
