@@ -13,13 +13,15 @@ one-dimensional integral over the half period [0, pi], split at the angles
 where a root modulus crosses exp(y); its gradient has exact
 piecewise-constant counting integrands over the same half period, which
 makes facet slopes of complement components come out at nearly machine
-precision. Raster, Ronkin, gradient and volume all read [0, pi] only.
+precision. R's exact Hessian, read at the same crossings, drives one Newton
+solve of grad R = (i, j) per interior lattice order, which finds the holes.
+Raster, Ronkin, gradient and volume all read [0, pi] only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -405,16 +407,44 @@ def gradient_ronkin(poly: BivariatePolynomial, x: float, y: float) -> tuple[floa
     of segment length times the count at the segment midpoint, over pi. On
     complement components they are integers to machine precision.
     """
+    gx, gy, _ = _gradient_crossings(poly, x, y)
+    return gx, gy
+
+
+def _gradient_crossings(poly: BivariatePolynomial, x: float, y: float) -> tuple[float, float, np.ndarray]:
+    """``gradient_ronkin`` at (x, y), with the w-crossings in (0, pi) it read for dR/dy."""
     out = []
     for logmods_fn, level in (
         (lambda psis: _root_logmods(poly.z_coefficients(np.exp(y + 1j * psis))), x),
         (lambda phis: _w_logmods(poly, x, phis), y),
     ):
-        edges = np.concatenate([[0.0], _crossings(logmods_fn, level), [math.pi]])
+        crossings = _crossings(logmods_fn, level)
+        edges = np.concatenate([[0.0], crossings, [math.pi]])
         counts = (logmods_fn(0.5 * (edges[:-1] + edges[1:])) < level).sum(axis=1)
         # edges in units of pi: a single segment has length 1.0, so a constant count stays exact
         out.append(float(np.dot(np.diff(edges / math.pi), counts)))
-    return out[0], out[1]
+    return out[0], out[1], crossings
+
+
+def _ronkin_hessian(poly: BivariatePolynomial, x: float, y: float, phis: np.ndarray) -> np.ndarray:
+    """Exact Hessian of R at (x, y) from its w-crossings ``phis`` in (0, pi).
+
+    At a crossing the w-root w_c of P(z_c, w) with z_c = e^{x + i phi_c} has
+    log|w_c| = y. Along the curve d log w / d log z = -rho with
+    rho = z P_z / (w P_w), so the crossing moves with x and the root count
+    changes with y at the rates that give
+    H = sum_c [[|rho|^2, Re rho], [Re rho, 1]] / (pi |Im rho|).
+    With one crossing det H = 1/pi^2 identically; with none H = 0 (a facet).
+    """
+    z = np.exp(x + 1j * phis)
+    roots = polyroots_batch(poly.w_coefficients(z))
+    w = roots[np.arange(phis.size), np.argmin(np.abs(np.log(np.abs(roots)) - y), axis=1)]
+    k = np.arange(poly.d + 1)
+    terms = (z[:, None] ** k)[:, :, None] * poly.coeffs * (w[:, None] ** k)[:, None, :]
+    rho = (terms * k[:, None]).sum(axis=(1, 2)) / (terms * k).sum(axis=(1, 2))
+    weight = 1.0 / (math.pi * np.abs(rho.imag))
+    hxy = float(np.dot(weight, rho.real))
+    return np.array([[float(np.dot(weight, np.abs(rho) ** 2)), hxy], [hxy, float(weight.sum())]])
 
 
 def _hessian_fd(f, x, y, h):
@@ -448,110 +478,108 @@ def monge_ampere_residual(
     return float(det - 1.0 / math.pi ** 2)
 
 
-def _components(mask: np.ndarray):
-    """4-connected components of a boolean mask; returns labels and count."""
-    ny, nx = mask.shape
-    labels = np.full((ny, nx), -1, dtype=int)
-    current = 0
-    for sy in range(ny):
-        for sx in range(nx):
-            if not mask[sy, sx] or labels[sy, sx] >= 0:
-                continue
-            stack = [(sy, sx)]
-            labels[sy, sx] = current
-            while stack:
-                cy, cx = stack.pop()
-                for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    ty, tx = cy + dy, cx + dx
-                    if 0 <= ty < ny and 0 <= tx < nx and mask[ty, tx] and labels[ty, tx] < 0:
-                        labels[ty, tx] = current
-                        stack.append((ty, tx))
-            current += 1
-    return labels, current
+_NODE_TOL = 1e-6  # log units: a narrower gap of an interior order is a node
 
 
-def _deep_pixel(comp_mask: np.ndarray) -> tuple[int, int]:
-    """Pixel of the component farthest from its boundary, the first in row-major order.
+def _solve_gradient(poly: BivariatePolynomial, s: float, t: float) -> tuple[float, float, bool]:
+    """Newton iteration on grad R = (s, t) with R's exact Hessian.
 
-    The depth of a pixel is the number of erosions it survives, which is its
-    4-neighbour (L1) distance to the nearest pixel outside the component or
-    the frame, minus 1.
+    Starts at the centre of ``auto_window(poly, pad=1)``. Each step solves
+    H d = (s, t) - grad R with ``_ronkin_hessian``, read from the crossings
+    the gradient found; where det H is below 1e-14 (a facet, no crossing)
+    the step is twice the residual instead. Steps are clipped to 3 in the
+    max norm and the point to the box [-35, 35]^2. Returns (x, y, converged):
+    converged once the misfit is below 1e-10, within at most 60 steps.
     """
-    depth = np.zeros(comp_mask.shape, dtype=int)
-    core = comp_mask
-    while core.any():
-        core = _interior(core)
-        depth += core
-    flat = int(np.argmax(np.where(comp_mask, depth, -1)))
-    return divmod(flat, comp_mask.shape[1])
+    win = auto_window(poly, pad=1.0)
+    x, y = 0.5 * (win[0] + win[1]), 0.5 * (win[2] + win[3])
+    for _ in range(60):
+        gx, gy, phis = _gradient_crossings(poly, x, y)
+        rx, ry = s - gx, t - gy
+        if math.hypot(rx, ry) < 1e-10:
+            return x, y, True
+        (hxx, hxy), (_, hyy) = _ronkin_hessian(poly, x, y, phis)
+        det = hxx * hyy - hxy * hxy
+        if abs(det) < 1e-14:
+            # near a facet: gradient is almost constant, walk uphill directly
+            dx_step, dy_step = 2.0 * rx, 2.0 * ry
+        else:
+            dx_step = (hyy * rx - hxy * ry) / det
+            dy_step = (-hxy * rx + hxx * ry) / det
+        limit = max(abs(dx_step), abs(dy_step))
+        if limit > 3.0:
+            dx_step *= 3.0 / limit
+            dy_step *= 3.0 / limit
+        x = min(max(x + dx_step, -35.0), 35.0)
+        y = min(max(y + dy_step, -35.0), 35.0)
+    return x, y, False
 
 
-def _complement_components(grid: AmoebaGrid):
-    labels, count = _components(~grid.membership)
-    bounded = []
-    unbounded = []
-    for lab in range(count):
-        comp = labels == lab
-        touches = comp[0, :].any() or comp[-1, :].any() or comp[:, 0].any() or comp[:, -1].any()
-        (unbounded if touches else bounded).append(comp)
-    return bounded, unbounded
+def _hole_pixels(grid: AmoebaGrid, x: float, y: float) -> int:
+    """Non-member pixels of ``grid`` 4-connected to the pixel holding (x, y).
 
-
-def _hole_from_component(poly, grid, comp):
-    xc, yc = grid.x_centers(), grid.y_centers()
-    px, py = grid.pixel_size
-    iy, ix = _deep_pixel(comp)
-    x, y = float(xc[ix]), float(yc[iy])
-    gx, gy = gradient_ronkin(poly, x, y)
-    order = (round(gx), round(gy))
-    if abs(gx - order[0]) > 1e-3 or abs(gy - order[1]) > 1e-3:
-        # R is affine on a true complement component, so its gradient is an
-        # integer pair to machine precision there. A fractional gradient means
-        # the pixel sits inside the amoeba, in a range the raster's sampled
-        # sweep missed; the component is a raster sliver, not a hole.
-        return None
-    d = poly.d
-    if not (0 <= order[0] and 0 <= order[1] and order[0] + order[1] <= d):
-        raise ValueError("hole assignment failed: order outside the Newton triangle")
-    intercept = ronkin(poly, x, y) - order[0] * x - order[1] * y
-    return Hole(
-        order=(int(order[0]), int(order[1])),
-        pixel_count=int(comp.sum()),
-        area=float(comp.sum()) * px * py,
-        deep_point=(x, y),
-        intercept=float(intercept),
-    )
-
-
-def _is_interior_order(order: tuple[int, int], d: int) -> bool:
-    return order[0] >= 1 and order[1] >= 1 and order[0] + order[1] <= d - 1
+    The region grows by repeated 4-neighbour dilation within the non-member
+    mask. It is 0 when (x, y) lies outside the window or on a member pixel.
+    """
+    x0, x1, y0, y1 = grid.window
+    ix = math.floor((x - x0) / (x1 - x0) * grid.nx)
+    iy = math.floor((y - y0) / (y1 - y0) * grid.ny)
+    free = ~grid.membership
+    if not (0 <= ix < grid.nx and 0 <= iy < grid.ny and free[iy, ix]):
+        return 0
+    region = np.zeros_like(free)
+    region[iy, ix] = True
+    while True:
+        grown = region.copy()
+        grown[1:] |= region[:-1]
+        grown[:-1] |= region[1:]
+        grown[:, 1:] |= region[:, :-1]
+        grown[:, :-1] |= region[:, 1:]
+        grown &= free
+        if np.array_equal(grown, region):
+            return int(region.sum())
+        region = grown
 
 
 def detect_holes(poly: BivariatePolynomial, grid: AmoebaGrid | None = None, nx: int = 360) -> HoleReport:
-    """Bounded complement components with their lattice orders and intercepts.
+    """Holes and candidate nodes of the amoeba, one per interior lattice order.
 
-    The order of a hole is the rounded Ronkin gradient at its deepest pixel;
-    orders of genuine holes are distinct interior lattice points of the
-    Newton triangle. A bounded component whose order lands on the triangle
-    boundary is an unresolved gap between tentacles (the raster sealed it),
-    not a hole, and is dropped. Components above 4 pixels count toward the
-    genus, smaller ones are reported as candidate nodes.
+    On a Harnack curve each interior lattice point (i, j) of the Newton
+    triangle is the order of one complement component, a hole or a node,
+    where grad R = (i, j) (Passare-Rullgard); ``_solve_gradient`` lands
+    there, whatever the component's size or position, or raises RuntimeError
+    ("no convergence"). The gap of order j at the landing point (x, y) lies
+    between the j-th and (j+1)-st sorted branch ranges of the column at x
+    (``_branch_ranges``). Where they overlap by more than ``_NODE_TOL``
+    (1e-6) the point is inside the amoeba, neither hole nor node; a gap
+    wider than ``_NODE_TOL`` is a hole, a narrower one a candidate node.
+    Each is reported at the deep point (x, middle of the gap), with
+    intercept R - i x - j y there. ``pixel_count`` and ``area`` are the
+    non-member pixels 4-connected to the deep point's pixel, from ``grid``
+    or, when a hole was found, from an ``nx`` by ``nx`` raster over
+    ``auto_window(poly)``; they are 0 for a node or a hole thinner than a pixel.
     """
-    if grid is None:
+    holes, nodes = [], []
+    for i in range(1, poly.d - 1):
+        for j in range(1, poly.d - i):
+            x, y, converged = _solve_gradient(poly, float(i), float(j))
+            if not converged:
+                raise RuntimeError(f"no convergence: hole solve of order ({i}, {j}) stopped at ({x}, {y})")
+            lo, hi, _ = _branch_ranges(poly, np.array([x]))
+            below, above = float(hi[0, j - 1]), float(lo[0, j])
+            if above - below < -_NODE_TOL:
+                continue
+            mid = 0.5 * (below + above)
+            hole = Hole(order=(i, j), pixel_count=0, area=0.0, deep_point=(float(x), mid),
+                        intercept=ronkin(poly, x, mid) - i * x - j * mid)
+            (holes if above - below > _NODE_TOL else nodes).append(hole)
+    if holes and grid is None:
         grid = rasterize_amoeba(poly, nx=nx, ny=nx)
-    bounded, _ = _complement_components(grid)
-    holes = []
-    for comp in bounded:
-        hole = _hole_from_component(poly, grid, comp)
-        if hole is not None and _is_interior_order(hole.order, poly.d):
-            holes.append(hole)
-    orders = [h.order for h in holes]
-    if len(set(orders)) != len(orders):
-        raise ValueError("hole assignment failed: duplicate orders")
-    big = [h for h in holes if h.pixel_count > 4]
-    small = [h for h in holes if h.pixel_count <= 4]
-    big.sort(key=lambda h: h.order)
-    return HoleReport(holes=big, genus=len(big), candidate_nodes=small)
+    for k, hole in enumerate(holes):
+        px, py = grid.pixel_size
+        count = _hole_pixels(grid, *hole.deep_point)
+        holes[k] = replace(hole, pixel_count=count, area=count * px * py)
+    return HoleReport(holes=holes, genus=len(holes), candidate_nodes=nodes)
 
 
 def facet_intercepts(poly: BivariatePolynomial) -> dict:
@@ -562,8 +590,8 @@ def facet_intercepts(poly: BivariatePolynomial) -> dict:
     root logs), far below the amoeba body, and similarly for the west and
     north-east families. Probes move deeper until the exact Ronkin gradient
     matches the expected order, so tentacles thinner than any raster pixel
-    are still separated. Bounded components come from ``detect_holes`` at
-    its default 360-pixel raster.
+    are still separated. The holes come from ``detect_holes``, one Newton
+    solve of grad R = (i, j) per interior order.
     """
     bp = boundary_points(poly)
     d = poly.d
@@ -622,45 +650,15 @@ def legendre_transform(poly: BivariatePolynomial, s: float, t: float) -> float:
     """R^v(s, t) = sup_{x,y} (s x + t y - R(x, y)) on the Newton triangle.
 
     For (s, t) interior to the triangle the supremum is attained where
-    grad R = (s, t); Newton iteration on that equation uses the exact gradient
-    and a finite-difference Hessian, and stops once the gradient misfit is
-    below 1e-10. Boundary or lattice (s, t) make the maximizer run to
-    infinity, so the iteration is capped.
+    grad R = (s, t), which ``_solve_gradient`` finds by Newton iteration
+    with R's exact Hessian. Boundary or lattice (s, t) make the maximizer
+    run to infinity, so the iteration is capped and the value is read where
+    it stopped.
     """
     d = poly.d
     if not (-1e-12 <= s and -1e-12 <= t and s + t <= d + 1e-12):
         raise ValueError("dual point outside the Newton triangle")
-    win = auto_window(poly, pad=1.0)
-    x = 0.5 * (win[0] + win[1])
-    y = 0.5 * (win[2] + win[3])
-    cap = 35.0
-    for _ in range(60):
-        gx, gy = gradient_ronkin(poly, x, y)
-        rx, ry = s - gx, t - gy
-        if math.hypot(rx, ry) < 1e-10:
-            break
-        fd = 1e-4
-        gxp = gradient_ronkin(poly, x + fd, y)
-        gxm = gradient_ronkin(poly, x - fd, y)
-        gyp = gradient_ronkin(poly, x, y + fd)
-        gym = gradient_ronkin(poly, x, y - fd)
-        hxx = (gxp[0] - gxm[0]) / (2 * fd)
-        hxy = (gyp[0] - gym[0]) / (2 * fd)
-        hyx = (gxp[1] - gxm[1]) / (2 * fd)
-        hyy = (gyp[1] - gym[1]) / (2 * fd)
-        det = hxx * hyy - hxy * hyx
-        if abs(det) < 1e-14:
-            # near a facet: gradient is almost constant, walk uphill directly
-            dx_step, dy_step = 2.0 * rx, 2.0 * ry
-        else:
-            dx_step = (hyy * rx - hxy * ry) / det
-            dy_step = (-hyx * rx + hxx * ry) / det
-        limit = max(abs(dx_step), abs(dy_step))
-        if limit > 3.0:
-            dx_step *= 3.0 / limit
-            dy_step *= 3.0 / limit
-        x = min(max(x + dx_step, -cap), cap)
-        y = min(max(y + dy_step, -cap), cap)
+    x, y, _ = _solve_gradient(poly, s, t)
     return s * x + t * y - ronkin(poly, x, y)
 
 

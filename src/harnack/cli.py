@@ -301,9 +301,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--step", type=_positive(float), default=1e-2, help="finite-difference step")
     p.set_defaults(func=_cmd_ma_check)
 
-    p = sub.add_parser("holes", help="bounded amoeba complement components")
+    p = sub.add_parser("holes", help="amoeba holes and candidate nodes, one Newton solve per interior order")
     p.add_argument("--poly", required=True, help="polynomial JSON file")
-    p.add_argument("--grid", type=_positive(int), default=360, help="raster resolution")
+    p.add_argument("--grid", type=_positive(int), default=360, help="raster resolution of the hole pixel counts")
     p.set_defaults(func=_cmd_holes)
 
     p = sub.add_parser("verify-harnack", help="Harnack certificate; exit 0 iff all checks pass")

@@ -10,6 +10,7 @@ each compact oval, (d-1)(d-2)/2 points in total.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,11 +67,11 @@ def left_null_vector(weights: EdgeWeights, z: complex, w: complex) -> np.ndarray
     return vec
 
 
-def _chain_null_vectors(weights: EdgeWeights, oval: RealOval) -> np.ndarray:
+def _chain_null_vectors(weights: EdgeWeights, points: np.ndarray) -> np.ndarray:
     """Null vectors at every trace point, sign-chained so consecutive vectors
     have positive dot product (a continuous trivialization along the loop)."""
     vecs = []
-    for z, w in oval.points:
+    for z, w in points:
         vec = left_null_vector(weights, z, w)
         if vec.dtype != np.float64:
             raise ValueError("oval sample produced a complex null vector")
@@ -78,6 +79,21 @@ def _chain_null_vectors(weights: EdgeWeights, oval: RealOval) -> np.ndarray:
             vec = -vec
         vecs.append(vec)
     return np.array(vecs)
+
+
+@functools.lru_cache(maxsize=1)
+def _memo_chains(d: int, a: bytes, b: bytes, c: bytes, ovals: tuple[bytes, ...]) -> tuple[np.ndarray, ...]:
+    """``_chain_null_vectors`` of each closed oval, read-only.
+
+    Every vertex of a weight set reads the same chains, so the last weight
+    set's are memoised, keyed by d, the bytes of a, b and c, and the bytes
+    of each closed oval's points.
+    """
+    weights = EdgeWeights(d, *(np.frombuffer(v).reshape(d, d) for v in (a, b, c)))
+    chains = tuple(_chain_null_vectors(weights, np.frombuffer(p).reshape(-1, 2)) for p in ovals)
+    for chain in chains:
+        chain.setflags(write=False)
+    return chains
 
 
 def sign_change_count(values: np.ndarray) -> int:
@@ -90,18 +106,14 @@ def sign_change_count(values: np.ndarray) -> int:
 def _refine_zero(weights, poly, quadrant, p0, p1, u0, idx) -> tuple[float, float]:
     """Bisect the oval segment [p0, p1] for the component-idx zero, keeping
     every probe on the curve via log-coordinate Newton projection; at most 60
-    halvings."""
+    halvings. A probe that does not project raises RuntimeError."""
     sz, sw = quadrant
     lo = np.array([math.log(abs(p0[0])), math.log(abs(p0[1]))])
     hi = np.array([math.log(abs(p1[0])), math.log(abs(p1[1]))])
     ref = u0.copy()
     v_lo = ref[idx]
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        proj = _newton_to_curve(poly, quadrant, mid)
-        if proj is None:
-            # fall back to geometric midpoint if projection stalls
-            proj = tuple(mid)
+        proj = _project_midpoint(poly, quadrant, lo, hi)
         z = sz * math.exp(proj[0])
         w = sw * math.exp(proj[1])
         vec = left_null_vector(weights, z, w)
@@ -115,9 +127,17 @@ def _refine_zero(weights, poly, quadrant, p0, p1, u0, idx) -> tuple[float, float
             v_lo = vec[idx]
         if np.max(np.abs(hi - lo)) < 1e-12:
             break
-    mid = 0.5 * (lo + hi)
-    proj = _newton_to_curve(poly, quadrant, mid) or tuple(mid)
+    proj = _project_midpoint(poly, quadrant, lo, hi)
     return sz * math.exp(proj[0]), sw * math.exp(proj[1])
+
+
+def _project_midpoint(poly, quadrant, lo, hi) -> tuple[float, float]:
+    """The curve point that ``_newton_to_curve`` projects the log midpoint of lo and hi to."""
+    mid = 0.5 * (lo + hi)
+    proj = _newton_to_curve(poly, quadrant, mid)
+    if proj is None:
+        raise RuntimeError(f"no convergence: projection of the divisor bisection point {mid.tolist()} onto the curve")
+    return proj
 
 
 def vertex_divisor(weights: EdgeWeights, vertex: tuple[int, int],
@@ -138,10 +158,12 @@ def vertex_divisor(weights: EdgeWeights, vertex: tuple[int, int],
     idx = i * d + j
     points: list[DivisorPoint] = []
     per_oval = []
+    chains = iter(_memo_chains(d, weights.a.tobytes(), weights.b.tobytes(), weights.c.tobytes(),
+                               tuple(oval.points.tobytes() for oval in ovals if oval.closed)))
     for oval_id, oval in enumerate(ovals):
         if not oval.closed:
             continue
-        chain = _chain_null_vectors(weights, oval)
+        chain = next(chains)
         comp = chain[:, idx]
         zeros_here = 0
         n = len(comp)

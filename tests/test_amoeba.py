@@ -364,6 +364,21 @@ class TestLegendre:
 
 
 class TestMongeAmpere:
+    @pytest.mark.parametrize("d, seed", [(3, 2026), (4, 1)], ids=["rand3", "rand4"])
+    def test_exact_hessian_matches_gradient_differences(self, d, seed):
+        poly = characteristic_polynomial(EdgeWeights.random(d, np.random.default_rng(seed)))
+        h = 1e-5
+        for x, y in sample_interior(poly, 3, np.random.default_rng(0)):
+            gx, gy, phis = amoeba_mod._gradient_crossings(poly, x, y)
+            assert (gx, gy) == gradient_ronkin(poly, x, y)
+            hess = amoeba_mod._ronkin_hessian(poly, x, y, phis)
+            central = np.column_stack([
+                np.subtract(gradient_ronkin(poly, x + h, y), gradient_ronkin(poly, x - h, y)),
+                np.subtract(gradient_ronkin(poly, x, y + h), gradient_ronkin(poly, x, y - h)),
+            ]) / (2 * h)
+            assert_allclose(hess, central, rtol=0, atol=1e-8)
+            assert abs(np.linalg.det(hess) * math.pi ** 2 - 1.0) < 1e-12
+
     def test_residual_small_inside(self, line_poly):
         assert abs(monge_ampere_residual(line_poly, 0.1, -0.05)) < 1e-4
 
@@ -374,11 +389,43 @@ class TestMongeAmpere:
 
 class TestHoles:
     def test_uniform_d3_has_invisible_node(self, u3_poly):
-        # the node at the origin is measure zero; no bounded component opens
+        # the node at the origin is measure zero: the order (1, 1) solve lands
+        # on it and reads a gap below the node tolerance, so it is a candidate
         report = detect_holes(u3_poly)
         assert report.genus == 0
         assert report.holes == []
+        assert [node.order for node in report.candidate_nodes] == [(1, 1)]
+        node = report.candidate_nodes[0]
+        assert node.pixel_count == 0 and node.area == 0.0
+        assert np.hypot(*node.deep_point) < 1e-6
+
+    def test_squeezed_curve_has_no_hole_or_node(self):
+        # grad R = (1, 1) at the origin by symmetry, but the origin is inside the amoeba
+        report = detect_holes(perturbed_u3(0.90))
+        assert report.holes == [] and report.candidate_nodes == []
+
+    def test_census_d4_holes_at_defaults(self):
+        # all three holes touch the frame of the default window
+        report = detect_holes(characteristic_polynomial(EdgeWeights.random(4, np.random.default_rng(1))))
+        assert [hole.order for hole in report.holes] == [(1, 1), (1, 2), (2, 1)]
         assert report.candidate_nodes == []
+
+    @pytest.mark.parametrize("d, genus", [(5, 6), (6, 10)])
+    def test_every_interior_order_is_a_hole(self, d, genus):
+        # some of these holes touch the frame of the default window or lie outside it
+        poly = characteristic_polynomial(EdgeWeights.random(d, np.random.default_rng(1000 * d)))
+        report = detect_holes(poly)
+        orders = [hole.order for hole in report.holes]
+        assert report.genus == genus == len(set(orders))
+        assert all(i >= 1 and j >= 1 and i + j <= d - 1 for i, j in orders)
+        for hole in report.holes:
+            assert not amoeba_membership(poly, *hole.deep_point)
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        # a gradient stuck at (0, 0) never reaches an interior order
+        monkeypatch.setattr(amoeba_mod, "_gradient_crossings", lambda poly, x, y: (0.0, 0.0, np.empty(0)))
+        with pytest.raises(RuntimeError, match=r"^no convergence: hole solve of order \(1, 1\)"):
+            detect_holes(perturbed_u3(1.01))
 
     def test_opened_hole_is_found(self):
         poly = perturbed_u3(1.01)

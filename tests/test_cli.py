@@ -218,6 +218,15 @@ class TestHoles:
         assert payload["holes"][0]["order"] == [1, 1]
         assert payload["holes"][0]["area"] > 0
 
+    def test_unconverged_solve_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("harnack.amoeba._gradient_crossings", lambda poly, x, y: (0.0, 0.0, np.empty(0)))
+        pfile = write_poly(tmp_path / "p.json", characteristic_polynomial(EdgeWeights.uniform(3)))
+        code, out, err = run(capsys, ["holes", "--poly", pfile])
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["kind"] == "no-convergence"
+        assert "hole solve" in payload["error"]
+
 
 class TestVerifyHarnack:
     def test_single_cell_passes(self, capsys, line_poly_file):

@@ -116,6 +116,12 @@ class TestVertexDivisor:
         for point in vertex_divisor(weights, (1, 1), ovals=ovals):
             assert abs(poly(point.z, point.w)) < 1e-7 * scale
 
+    def test_unprojected_bisection_point_raises(self, traced_model, monkeypatch):
+        weights, poly, ovals = traced_model
+        monkeypatch.setattr("harnack.divisor._newton_to_curve", lambda poly, signs, point: None)
+        with pytest.raises(RuntimeError, match="^no convergence: projection"):
+            vertex_divisor(weights, (0, 0), ovals=ovals)
+
     def test_gauge_leaves_divisors_in_place(self, traced_model):
         # gauge scales the null-vector components individually, so each
         # component's zero set on the curve cannot move
