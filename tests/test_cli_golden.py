@@ -34,6 +34,7 @@ CASES = {
     "ma-check": ["ma-check", "--poly", "{p2}", "--points", "2"],
     "divisor": ["divisor", "--weights", "{w3}", "--vertex", "0,0"],
     "volume-diff": ["volume-diff", "--poly1", "{u3p}", "--poly2", "{u3}"],
+    "verify-harnack": ["verify-harnack", "--poly", "{p3}"],
 }
 
 
