@@ -15,7 +15,8 @@ piecewise-constant counting integrands over the same half period, which
 makes facet slopes of complement components come out at nearly machine
 precision. R's exact Hessian, read at the same crossings, drives one Newton
 solve of grad R = (i, j) per interior lattice order, which finds the holes.
-Raster, Ronkin, gradient and volume all read [0, pi] only.
+The same crossings count the preimages of a point for the 2-to-1 check.
+Raster, Ronkin, gradient, volume and the 2-to-1 count all read [0, pi] only.
 """
 
 from __future__ import annotations
@@ -129,15 +130,10 @@ def auto_window(poly: BivariatePolynomial, pad: float = 2.0) -> tuple[float, flo
     return (lo, hi, lo, hi)
 
 
-def _sweep_angles(n_phi: int) -> np.ndarray:
-    """The phi-sweep grid: n_phi equally spaced angles in [0, 2pi)."""
-    # irrational offset keeps samples off symmetry axes
-    return 2.0 * np.pi * (np.arange(n_phi) + 0.382) / n_phi
-
-
 def _half_sweep(n_phi: int) -> np.ndarray:
-    """The n_phi-angle sweep folded onto [0, pi], in angle order."""
-    phis = _sweep_angles(n_phi)
+    """n_phi equally spaced angles in [0, 2pi), folded onto [0, pi], in angle order."""
+    # irrational offset keeps samples off symmetry axes
+    phis = 2.0 * np.pi * (np.arange(n_phi) + 0.382) / n_phi
     return np.sort(np.minimum(phis, 2.0 * np.pi - phis))
 
 
@@ -159,11 +155,11 @@ def _zoom(values, centers: np.ndarray, step: float, points: int, zooms: int):
     array of angles, one row per center. Each center is zoomed ``zooms``
     times: a ``points``-point grid over ``step`` either side, then over a
     quarter of the previous span around its best point. All centers are
-    zoomed in lockstep, one call of ``values`` per round. Returns phi and
-    the value at each last best point.
+    zoomed in lockstep, one call of ``values`` per round. Returns the value
+    at each last best point.
     """
     if centers.size == 0:
-        return centers, centers
+        return centers
     lo, hi = centers - step, centers + step
     rows = np.arange(centers.size)
     for _ in range(zooms):
@@ -173,7 +169,7 @@ def _zoom(values, centers: np.ndarray, step: float, points: int, zooms: int):
         width = (hi - lo) / 8.0
         best = grid[rows, k]
         lo, hi = best - width, best + width
-    return best, vals[rows, k]
+    return vals[rows, k]
 
 
 _RANGE_TOL = 1e-9  # slack in log|w| before a sampled interior extremum widens a branch range
@@ -215,7 +211,7 @@ def _branch_ranges(poly: BivariatePolynomial, xs: np.ndarray):
         logs = np.sort(_root_logmods(poly.w_coefficients(z)).reshape(col.size, grid.shape[1], -1), axis=2)
         return sign[:, None] * logs[np.arange(col.size), :, k]
 
-    _, best = _zoom(values, phis[j], 2.0 * np.pi / phis.size, 17, 8)
+    best = _zoom(values, phis[j], 2.0 * np.pi / phis.size, 17, 8)
     low = sign > 0
     np.minimum.at(lo, (col[low], k[low]), best[low])
     np.maximum.at(hi, (col[~low], k[~low]), -best[~low])
@@ -809,51 +805,21 @@ def two_to_one_check(
     x: float,
     y: float,
 ) -> int:
-    """Number of preimages of (x, y) on the unit-torus fibre of the amoeba map.
+    """Number of preimages of (x, y) under the amoeba map.
 
-    Intersection points of the curve with the torus over (x, y) are the
-    angles phi where some w-root modulus equals e^y. They are found as zeros
-    of the distance min_r |log|w_r| - y| on a 512-angle sweep, refined dips
-    below 1e-6 (this catches tangential touches a count-jump scan cannot
-    see), and clustered in (phi, arg w) at radius 0.05. Harnack curves
-    give exactly 2 at interior points (a complex-conjugate pair); a real node
-    collapses them to a single cluster.
+    A preimage is a curve point with |z| = e^x and |w| = e^y. P is real, so
+    one off the real z-axis comes with its conjugate: each w-crossing of y
+    in (0, pi) (``_crossings``) gives two. At z = +-e^x the preimages are the
+    roots of P(z, w) whose log-modulus lies within ``_NODE_TOL`` of y, and
+    roots closer than ``_NODE_TOL`` relative to each other count once, so a
+    real node counts 1. Harnack curves give exactly 2 at interior points
+    (Mikhalkin-Rullgard).
     """
-    phis = _sweep_angles(512)
-    gap = np.min(np.abs(_w_logmods(poly, x, phis) - y), axis=1)
-    idx = np.nonzero((gap <= np.roll(gap, 1)) & (gap <= np.roll(gap, -1)) & (gap < 0.3))[0]
-
-    def gaps(grid):
-        logs = _w_logmods(poly, x, np.mod(grid, 2.0 * np.pi).reshape(-1))
-        return np.min(np.abs(logs.reshape(idx.size, 33, -1) - y), axis=2)
-
-    dip_phis, dips = _zoom(gaps, phis[idx], 2.0 * np.pi / phis.size, 33, 10)
-    events: list[tuple[float, float]] = []
-    for phi in np.mod(dip_phis[dips < 1e-6], 2.0 * np.pi).tolist():
-        z = np.exp(x + 1j * phi)
-        rts = polyroots_batch(poly.w_coefficients(np.array([z])))[0]
-        w = rts[int(np.argmin(np.abs(np.log(np.maximum(np.abs(rts), 1e-300)) - y)))]
-        events.append((phi, float(np.angle(w))))
-
-    # real coefficients pair every preimage with its conjugate at
-    # (2 pi - phi, -psi); adding the reflections recovers a partner whose
-    # phi sits closer to its twin than the scan resolution (both near 0 or
-    # pi), while a genuinely real point reflects onto itself and still
-    # collapses to one cluster.
-    events = events + [
-        (float(np.mod(2.0 * math.pi - ph, 2.0 * math.pi)), -aw) for ph, aw in events
-    ]
-
-    clusters: list[tuple[float, float]] = []
-    for ev in events:
-        for ph, aw in clusters:
-            dphi = min(abs(ev[0] - ph), 2 * math.pi - abs(ev[0] - ph))
-            darg = min(abs(ev[1] - aw), 2 * math.pi - abs(ev[1] - aw))
-            if math.hypot(dphi, darg) < 0.05:
-                break
-        else:
-            clusters.append(ev)
-    return len(clusters)
+    count = 2 * _crossings(lambda phis: _w_logmods(poly, x, phis), y).size
+    for roots in polyroots_batch(poly.w_coefficients(np.array([math.exp(x), -math.exp(x)]))):
+        near = roots[np.abs(np.log(np.maximum(np.abs(roots), 1e-300)) - y) < _NODE_TOL]
+        count += sum(all(abs(r - s) >= _NODE_TOL * abs(r) for s in near[:k]) for k, r in enumerate(near))
+    return count
 
 
 def _real_value(poly, z: float, w: float) -> float:
@@ -1110,7 +1076,7 @@ def verify_harnack(
 
     Checks: real constant-sign boundary points, amoeba area pi^2 d^2 / 2 to
     relative 0.02, 2-to-1 covering at 10 random interior points, and compact
-    ovals consistent with the hole count and the genus bound (d-1)(d-2)/2.
+    ovals at most Harnack's bound (d-1)(d-2)/2 and as many as the holes.
     A failed boundary or area check returns at once, without the later checks.
     """
     checks: dict[str, bool] = {}
@@ -1145,8 +1111,6 @@ def verify_harnack(
     report = detect_holes(poly, grid=grid)
     details["genus"] = report.genus
     details["candidate_nodes"] = len(report.candidate_nodes)
-    max_genus = (d - 1) * (d - 2) // 2
-    checks["genus_bound"] = report.genus + len(report.candidate_nodes) <= max_genus
 
     rng = np.random.default_rng(seed)
     # stay away from the frame and from holes: erode twice
@@ -1166,5 +1130,7 @@ def verify_harnack(
     ovals = trace_real_ovals(poly)
     compact = sum(1 for o in ovals if o.closed)
     details["compact_ovals"] = compact
+    # Harnack's bound: a curve with this Newton triangle has at most (d-1)(d-2)/2 compact ovals
+    checks["genus_bound"] = compact <= (d - 1) * (d - 2) // 2
     checks["ovals_match_holes"] = compact == report.genus
     return HarnackCertificate(checks=checks, details=details)

@@ -445,10 +445,35 @@ class TestHoles:
             assert abs(value) < 1e-9
 
 
+TWO_TO_ONE_MODELS = {
+    "u3": lambda: characteristic_polynomial(EdgeWeights.uniform(3)),
+    "rand3": lambda: characteristic_polynomial(EdgeWeights.random(3, np.random.default_rng(2026))),
+    "rand4": lambda: characteristic_polynomial(EdgeWeights.random(4, np.random.default_rng(1))),
+    "u3-p11-0": lambda: perturbed_u3(0.0),
+}
+
+
 class TestRealLocus:
-    def test_two_to_one_at_node(self, u3_poly):
-        # the node is the one place where conjugate preimages coincide
-        assert two_to_one_check(u3_poly, 0.0, 0.0) == 1
+    @pytest.mark.parametrize(
+        "model, point, expected",
+        [
+            # the node is the one place where conjugate preimages coincide
+            ("u3", (0.0, 0.0), 1),
+            # its crossing phi = 3.138403 lies within one sample step of pi
+            ("rand3", (-2.889383963677699, -0.7218804757140194), 2),
+            # every deep point that detect_holes reports is off the amoeba
+            ("rand4", "holes", 0),
+            # p11 = 0 leaves the Harnack family: the map is 6-to-1 here
+            ("u3-p11-0", (-0.40587135775960104, -0.06687305976352642), 6),
+        ],
+        ids=["u3-node", "rand3-near-pi", "rand4-holes", "u3-p11-0"],
+    )
+    def test_two_to_one_count(self, model, point, expected):
+        poly = TWO_TO_ONE_MODELS[model]()
+        points = [hole.deep_point for hole in detect_holes(poly).holes] if point == "holes" else [point]
+        assert points
+        for x, y in points:
+            assert two_to_one_check(poly, x, y) == expected
 
     def test_opened_hole_matches_closed_oval(self):
         poly = perturbed_u3(1.01)
@@ -562,6 +587,15 @@ class TestCertificate:
         ]
         assert all(cert.checks.values())
         assert cert.details["area_target"] == pytest.approx(math.pi**2 / 2.0)
+
+    def test_extra_closed_oval_breaks_genus_bound(self, line_poly, monkeypatch):
+        # the line has genus 0, so one compact oval exceeds (d-1)(d-2)/2 = 0
+        oval = amoeba_mod.RealOval(points=np.ones((5, 2)), closed=True, quadrant=(1, 1))
+        monkeypatch.setattr(amoeba_mod, "trace_real_ovals", lambda poly: [oval])
+        cert = verify_harnack(line_poly)
+        assert cert.checks["genus_bound"] is False
+        assert cert.checks["ovals_match_holes"] is False
+        assert cert.details["compact_ovals"] == 1
 
     def test_squeezed_curve_fails(self):
         # shrinking the middle coefficient below the product-formula value
