@@ -28,7 +28,7 @@ def random_automorphism(rng):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=20)
-    ap.add_argument("--dmax", type=int, default=3)
+    ap.add_argument("--dmax", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--tol", type=float, default=1e-7)
     args = ap.parse_args()

@@ -3,9 +3,13 @@
 A degree-d rational curve is parametrized on the unit circle by quotients of
 half-angle sines: z vanishes at the alpha angles, w vanishes at the gamma
 angles, and both share simple poles at the beta angles.  Boundary data (A, B, C)
-records w at the zeros of z, 1/z at the zeros of w, and z/w at the poles; the
-angle configuration is recovered from a valid triple by a damped Newton
-iteration.  The same angle triples drive the isoradial weight construction.
+records w at the zeros of z, 1/z at the zeros of w, and z/w at the poles.  One
+pairwise-log kernel (``_pair_log_kernel``) gives log|A|, log|B|, log|C| and
+their Jacobian in two charts: with log|sin(x/2)| on the circle, where damped
+Newton recovers the angles from a valid triple, and with log|x| on the line,
+where the Jacobian is symmetric.  The same angle triples drive the isoradial
+weights; a Newton solve with the exact Jacobian finds the shift to unit
+prefactors.
 """
 
 from __future__ import annotations
@@ -203,29 +207,38 @@ def _sample_parameters(curve: Genus0Curve, count: int, offset: float,
 
 
 def implicitize(curve: Genus0Curve) -> BivariatePolynomial:
-    """Recover the implicit polynomial of total degree d from samples of the
-    parametrization, as the one-dimensional null space of a scaled monomial
-    collocation matrix; 100 further samples must then give a relative
-    residual below 1e-9."""
+    """Recover the implicit polynomial of total degree d as the
+    one-dimensional null space of a monomial collocation matrix; 100 samples
+    on the circle must then give a relative residual below 1e-9.
+
+    The samples are ``interior_value`` at |u| = 1/2, away from every zero and
+    pole, with z and w divided by their prefactors; each sample gives a real
+    and an imaginary row, and rows and columns are scaled to unit size
+    before the SVD.  Unscaled samples on the circle gave a null space of
+    dimension > 1 on many draws from d = 4 on; this form holds up to d = 7
+    (a few random draws fail the residual check at d = 8)."""
     d = curve.d
     pairs = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
-    n_unknowns = len(pairs)
-    t = _sample_parameters(curve, n_unknowns + 30, offset=0.2171)
-    z, w = evaluate_parametrization(curve, t)
-    zp = z[:, None] ** np.array([i for i, _ in pairs])[None, :]
-    wp = w[:, None] ** np.array([j for _, j in pairs])[None, :]
-    rows = zp * wp
+    pow_z = np.array([i for i, _ in pairs])
+    pow_w = np.array([j for _, j in pairs])
+    n = len(pairs) + 30
+    u = 0.5 * np.exp(TWO_PI * 1j * (np.arange(n) + 0.2171) / n)
+    zw = np.array([interior_value(curve, uk) for uk in u])
+    z = zw[:, 0] / curve.rho_z
+    w = zw[:, 1] / curve.rho_w
+    rows = z[:, None] ** pow_z[None, :] * w[:, None] ** pow_w[None, :]
     rows /= np.abs(rows).max(axis=1, keepdims=True)
-    _, sigma, vh = np.linalg.svd(rows, full_matrices=False)
+    rows = np.concatenate([rows.real, rows.imag])
+    col_norm = np.linalg.norm(rows, axis=0)
+    _, sigma, vh = np.linalg.svd(rows / col_norm, full_matrices=False)
     null_dim = int(np.sum(sigma < 1e-10 * sigma[0]))
     if null_dim != 1:
         raise ValueError(
             f"parametrization degenerate: null space dimension {null_dim}")
-    vec = vh[-1]
+    vec = vh[-1] / col_norm / (curve.rho_z ** pow_z * curve.rho_w ** pow_w)
     vec = vec / np.abs(vec).max()
     coeffs = np.zeros((d + 1, d + 1))
-    for (i, j), v in zip(pairs, vec):
-        coeffs[i, j] = v
+    coeffs[pow_z, pow_w] = vec
     anchor = coeffs[0, 0]
     if abs(anchor) < 1e-12:
         flat = coeffs.reshape(-1)
@@ -293,19 +306,40 @@ def line_chart(curve: Genus0Curve):
     return to_line(al), to_line(ga), to_line(be), theta0
 
 
+def _pair_log_kernel(families, log_kernel, dlog_kernel):
+    """Values and Jacobian of the cyclic pairwise-log boundary map.
+
+    ``families`` is (alpha, gamma, beta), each of length d.  Family m pairs
+    with the next family in that cycle with a plus sign and with the previous
+    one with a minus sign: value_m[i] = sum_j f(x_m[i] - x_{m+1}[j])
+    - sum_j f(x_m[i] - x_{m-1}[j]), which gives log|A|, log|B|, log|C| up to
+    prefactors.  ``log_kernel`` f must be even and ``dlog_kernel`` its
+    derivative (odd), so the three pair matrices x_m - x_{m+1} serve all six
+    pairings: family m reads its own matrix along axis 1 and the previous
+    one transposed.  Returns the 3d values and the 3d x 3d Jacobian, rows
+    and columns both in family order."""
+    d = len(families[0])
+    pairs = [x[:, None] - families[(m + 1) % 3][None, :] for m, x in enumerate(families)]
+    logs = [log_kernel(p) for p in pairs]
+    derivs = [dlog_kernel(p) for p in pairs]
+    values = np.concatenate([logs[m].sum(axis=1) - logs[m - 1].sum(axis=0) for m in range(3)])
+    jac = np.zeros((3, d, 3, d))
+    for m in range(3):
+        jac[m, :, m] = np.diag(derivs[m].sum(axis=1) + derivs[m - 1].sum(axis=0))
+        jac[m, :, (m + 1) % 3] = -derivs[m]
+        jac[m, :, m - 1] = -derivs[m - 1].T
+    return values, jac.reshape(3 * d, 3 * d)
+
+
+def _line_kernel(tau_alpha, tau_gamma, tau_beta):
+    families = [np.asarray(t, dtype=float) for t in (tau_alpha, tau_gamma, tau_beta)]
+    return _pair_log_kernel(families, lambda x: np.log(np.abs(x)), np.reciprocal)
+
+
 def chart_log_boundary(tau_alpha, tau_gamma, tau_beta) -> np.ndarray:
     """log|A|, log|B|, log|C| as functions of the line-chart coordinates with
     unit chart prefactors; this is the function the Jacobian differentiates."""
-    ta = np.asarray(tau_alpha, dtype=float)
-    tc = np.asarray(tau_gamma, dtype=float)
-    tb = np.asarray(tau_beta, dtype=float)
-    log_a = (np.log(np.abs(ta[:, None] - tc[None, :])).sum(axis=1)
-             - np.log(np.abs(ta[:, None] - tb[None, :])).sum(axis=1))
-    log_b = (np.log(np.abs(tc[:, None] - tb[None, :])).sum(axis=1)
-             - np.log(np.abs(tc[:, None] - ta[None, :])).sum(axis=1))
-    log_c = (np.log(np.abs(tb[:, None] - ta[None, :])).sum(axis=1)
-             - np.log(np.abs(tb[:, None] - tc[None, :])).sum(axis=1))
-    return np.concatenate([log_a, log_b, log_c])
+    return _line_kernel(tau_alpha, tau_gamma, tau_beta)[0]
 
 
 def jacobian_logABC(curve: Genus0Curve) -> np.ndarray:
@@ -314,25 +348,8 @@ def jacobian_logABC(curve: Genus0Curve) -> np.ndarray:
     Rows are (A_1..A_d, B_1..B_d, C_1..C_d); columns are the chart coordinates
     of (alpha_1..alpha_d, gamma_1..gamma_d, beta_1..beta_d), pairing each
     boundary value with the angle that defines it."""
-    d = curve.d
     ta, tc, tb, _ = line_chart(curve)
-    inv_ac = 1.0 / (ta[:, None] - tc[None, :])
-    inv_ab = 1.0 / (ta[:, None] - tb[None, :])
-    inv_cb = 1.0 / (tc[:, None] - tb[None, :])
-    jac = np.zeros((3 * d, 3 * d))
-    rows_a = slice(0, d)
-    rows_b = slice(d, 2 * d)
-    rows_c = slice(2 * d, 3 * d)
-    jac[rows_a, rows_a] = np.diag(inv_ac.sum(axis=1) - inv_ab.sum(axis=1))
-    jac[rows_a, rows_b] = -inv_ac
-    jac[rows_a, rows_c] = inv_ab
-    jac[rows_b, rows_a] = -inv_ac.T
-    jac[rows_b, rows_b] = np.diag(inv_cb.sum(axis=1) + inv_ac.sum(axis=0))
-    jac[rows_b, rows_c] = -inv_cb
-    jac[rows_c, rows_a] = inv_ab.T
-    jac[rows_c, rows_b] = -inv_cb.T
-    jac[rows_c, rows_c] = np.diag(inv_cb.sum(axis=0) - inv_ab.sum(axis=0))
-    return jac
+    return _line_kernel(ta, tc, tb)[1]
 
 
 def jacobian_kernel_vectors(curve: Genus0Curve) -> tuple[np.ndarray, np.ndarray]:
@@ -370,50 +387,16 @@ def jacobian_blocks(curve: Genus0Curve) -> np.ndarray:
 # Newton inversion of the boundary map
 
 
-def _newton_jacobian(alpha, beta, gamma) -> np.ndarray:
-    """Derivatives of (log|A|, log|B|, log|C|) with respect to all 3d angles
-    and (log rho_z, log rho_w), in the circle chart."""
-    d = len(alpha)
-
-    def cot(x):
-        return 1.0 / np.tan(0.5 * x)
-
-    cot_ag = cot(alpha[:, None] - gamma[None, :])
-    cot_ab = cot(alpha[:, None] - beta[None, :])
-    cot_gb = cot(gamma[:, None] - beta[None, :])
-    jac = np.zeros((3 * d, 3 * d + 2))
-    rows_a = slice(0, d)
-    rows_b = slice(d, 2 * d)
-    rows_c = slice(2 * d, 3 * d)
-    cols_a = slice(0, d)
-    cols_b = slice(d, 2 * d)
-    cols_g = slice(2 * d, 3 * d)
-    # cot is odd, so cot((g-a)/2) = -cot((a-g)/2) reuses the same tables
-    jac[rows_a, cols_a] = np.diag(0.5 * (cot_ag.sum(axis=1) - cot_ab.sum(axis=1)))
-    jac[rows_a, cols_g] = -0.5 * cot_ag
-    jac[rows_a, cols_b] = 0.5 * cot_ab
-    jac[rows_b, cols_g] = np.diag(0.5 * (cot_gb.sum(axis=1) + cot_ag.sum(axis=0)))
-    jac[rows_b, cols_a] = -0.5 * cot_ag.T
-    jac[rows_b, cols_b] = -0.5 * cot_gb
-    jac[rows_c, cols_b] = np.diag(0.5 * (-cot_ab.sum(axis=0) + cot_gb.sum(axis=0)))
-    jac[rows_c, cols_a] = 0.5 * cot_ab.T
-    jac[rows_c, cols_g] = -0.5 * cot_gb.T
-    jac[rows_a, 3 * d + 1] = 1.0
-    jac[rows_b, 3 * d] = -1.0
-    jac[rows_c, 3 * d] = 1.0
-    jac[rows_c, 3 * d + 1] = -1.0
-    return jac
-
-
-def _log_boundary(alpha, beta, gamma, log_rho_z, log_rho_w) -> np.ndarray:
-    s_ag = np.abs(np.sin(0.5 * (alpha[:, None] - gamma[None, :])))
-    s_ab = np.abs(np.sin(0.5 * (alpha[:, None] - beta[None, :])))
-    s_gb = np.abs(np.sin(0.5 * (gamma[:, None] - beta[None, :])))
-    log_a = log_rho_w + np.log(s_ag).sum(axis=1) - np.log(s_ab).sum(axis=1)
-    log_b = -log_rho_z + np.log(s_gb).sum(axis=1) - np.log(s_ag).sum(axis=0)
-    log_c = (log_rho_z - log_rho_w
-             + np.log(s_ab).sum(axis=0) - np.log(s_gb).sum(axis=0))
-    return np.concatenate([log_a, log_b, log_c])
+def _circle_log_boundary(state: np.ndarray):
+    """(log|A|, log|B|, log|C|) and its Jacobian in the circle chart, for the
+    packed state (alpha, gamma, beta, log rho_z, log rho_w) of length 3d + 2."""
+    d = (len(state) - 2) // 3
+    families = (state[:d], state[d:2 * d], state[2 * d:3 * d])
+    values, jac = _pair_log_kernel(families, lambda x: np.log(np.abs(np.sin(0.5 * x))),
+                                   lambda x: 0.5 / np.tan(0.5 * x))
+    # A carries rho_w, B carries 1/rho_z and C carries rho_z/rho_w
+    prefactor = np.repeat([[0.0, 1.0], [-1.0, 0.0], [1.0, -1.0]], d, axis=0)
+    return values + prefactor @ state[3 * d:], np.hstack([jac, prefactor])
 
 
 def _ordered(full: np.ndarray) -> bool:
@@ -452,64 +435,57 @@ def invert_boundary(target: BoundaryTriple, with_stats: bool = False):
     ])
 
     spread = TWO_PI / (3.0 * d)
-    alpha = CANONICAL_ANCHORS[0] + spread * np.arange(d)
-    beta = CANONICAL_ANCHORS[1] + spread * np.arange(d)
-    gamma = CANONICAL_ANCHORS[2] + spread * np.arange(d)
-    log_rho = np.zeros(2)
-    free_cols = np.concatenate([
-        np.arange(1, d), d + np.arange(1, d), 2 * d + np.arange(1, d),
-        [3 * d, 3 * d + 1],
+    state = np.concatenate([
+        CANONICAL_ANCHORS[0] + spread * np.arange(d),
+        CANONICAL_ANCHORS[2] + spread * np.arange(d),
+        CANONICAL_ANCHORS[1] + spread * np.arange(d),
+        np.zeros(2),
     ])
-
-    def residual(al, be, ga, lr):
-        return _log_boundary(al, be, ga, lr[0], lr[1]) - log_target
+    # everything but the three anchored angles moves
+    free_cols = np.delete(np.arange(3 * d + 2), [0, d, 2 * d])
 
     tol = 1e-10
     max_steps = 50
-    res = residual(alpha, beta, gamma, log_rho)
+    values, jac = _circle_log_boundary(state)
+    res = values - log_target
     steps = 0
     for steps in range(1, max_steps + 1):
         if np.max(np.abs(res)) < tol:
             steps -= 1
             break
-        jac = _newton_jacobian(alpha, beta, gamma)[:, free_cols]
-        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
+        step, *_ = np.linalg.lstsq(jac[:, free_cols], -res, rcond=None)
         angle_step = step[:-2]
-        full = np.concatenate([alpha, beta, gamma])
-        gaps = np.diff(np.concatenate([np.sort(full), [np.sort(full)[0] + TWO_PI]]))
+        full = np.sort(state[:3 * d])
+        gaps = np.diff(np.concatenate([full, [full[0] + TWO_PI]]))
         max_move = np.max(np.abs(angle_step)) if len(angle_step) else 0.0
         limit = 0.5 * gaps.min()
         if max_move > limit > 0:
             step *= limit / max_move
         norm0 = np.linalg.norm(res)
         lam = 1.0
-        accepted = False
         for _ in range(14):
-            trial = np.concatenate([alpha, beta, gamma, log_rho])
+            trial = state.copy()
             trial[free_cols] += lam * step
-            al, be, ga = trial[:d], trial[d:2 * d], trial[2 * d:3 * d]
-            lr = trial[3 * d:]
-            if _ordered(np.concatenate([al, be, ga])):
-                new_res = residual(al, be, ga, lr)
+            # alpha, beta, gamma must stay in counterclockwise arc order
+            if _ordered(np.concatenate([trial[:d], trial[2 * d:3 * d], trial[d:2 * d]])):
+                values, new_jac = _circle_log_boundary(trial)
+                new_res = values - log_target
                 if np.linalg.norm(new_res) <= (1.0 - 1e-4 * lam) * norm0:
-                    alpha, beta, gamma, log_rho = al, be, ga, lr
-                    res = new_res
-                    accepted = True
+                    state, res, jac = trial, new_res, new_jac
                     break
             lam *= 0.5
-        if not accepted:
+        else:
             raise RuntimeError(
                 f"no convergence: line search stalled at step {steps}, "
                 f"residual {norm0:.3e}")
-    else:
-        if np.max(np.abs(res)) >= tol:
-            raise RuntimeError(
-                f"no convergence: residual {np.max(np.abs(res)):.3e} "
-                f"after {max_steps} steps")
+    if np.max(np.abs(res)) >= tol:
+        raise RuntimeError(
+            f"no convergence: residual {np.max(np.abs(res)):.3e} "
+            f"after {max_steps} steps")
 
-    rho_z = float(np.exp(log_rho[0]) / scale_b)
-    rho_w = float(np.exp(log_rho[1]) * scale_a)
-    curve = Genus0Curve(d, alpha, beta, gamma, rho_z, rho_w)
+    rho_z = float(np.exp(state[3 * d]) / scale_b)
+    rho_w = float(np.exp(state[3 * d + 1]) * scale_a)
+    curve = Genus0Curve(d, state[:d], state[2 * d:3 * d], state[d:2 * d], rho_z, rho_w)
     if with_stats:
         return curve, {"steps": steps, "residual": float(np.max(np.abs(res)))}
     return curve
@@ -529,9 +505,7 @@ def mobius_through(src, dst) -> np.ndarray:
             [p[1] - p[0], -p[2] * (p[1] - p[0])],
         ], dtype=complex)
 
-    m_dst = standard(dst)
-    inv = np.array([[m_dst[1, 1], -m_dst[0, 1]], [-m_dst[1, 0], m_dst[0, 0]]])
-    return inv @ standard(src)
+    return _mobius_inverse(standard(dst)) @ standard(src)
 
 
 def apply_mobius(matrix: np.ndarray, u):
@@ -661,78 +635,55 @@ def isoradial_spectral_check(angles: IsoradialAngles) -> IsoradialReport:
 # shift point: moving a genus-zero curve to unit prefactors
 
 
-def _interior_log_moduli(curve: Genus0Curve, u: complex) -> np.ndarray:
-    z, w = interior_value(curve, u)
-    if z == 0 or w == 0:
-        return np.array([-745.0, -745.0])
-    return np.array([np.log(abs(z)), np.log(abs(w))])
-
-
-def _shift_newton(curve: Genus0Curve, start: complex):
-    """Damped Newton for |z(u)| = |w(u)| = 1 inside the disk, to 1e-12 in log modulus."""
-    u = complex(start)
-    h = 1e-7
-    for _ in range(60):
-        f = _interior_log_moduli(curve, u)
-        if np.max(np.abs(f)) < 1e-12:
-            return u
-        fx = (_interior_log_moduli(curve, u + h) - _interior_log_moduli(curve, u - h)) / (2 * h)
-        fy = (_interior_log_moduli(curve, u + 1j * h) - _interior_log_moduli(curve, u - 1j * h)) / (2 * h)
-        jac = np.column_stack([fx, fy])
-        try:
-            delta = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            return None
-        lam = 1.0
-        norm0 = np.linalg.norm(f)
-        moved = False
-        for _ in range(20):
-            trial = u + lam * (delta[0] + 1j * delta[1])
-            if abs(trial) < 0.999999:
-                if np.linalg.norm(_interior_log_moduli(curve, trial)) < norm0:
-                    u = trial
-                    moved = True
-                    break
-            lam *= 0.5
-        if not moved:
-            return None
-    return None
-
-
 def find_isoradial_shift(curve: Genus0Curve):
     """Locate the unique disk point where both |z| and |w| equal 1 and
     transport the curve so that point becomes the disk center, producing unit
     prefactors.  Returns (zeta, shifted_curve), or None when the origin lies
-    outside the amoeba (no such point exists)."""
+    outside the amoeba (no such point exists).
+
+    One damped Newton solve from u = 0 for (log|z(u)|, log|w(u)|) = 0, to
+    1e-12, in at most 60 steps, each trial kept inside |u| < 1 - 1e-6.
+    Both are log moduli of holomorphic maps: log z(u) = log rho_z
+    + sum log(u - a_i) - sum log(u - b_k) + a constant phase, so with
+    D = sum 1/(u - a_i) - sum 1/(u - b_k) the gradient in (Re u, Im u) is
+    exactly (Re D, -Im D), and likewise for w.  Raises RuntimeError
+    ("no convergence: ...") when the solve stops short although the origin
+    is in the amoeba."""
     from .amoeba import amoeba_membership
 
     poly = implicitize(curve)
     if not amoeba_membership(poly, 0.0, 0.0):
         return None
-    starts = [0.0 + 0.0j]
-    for radius in (0.35, 0.7):
-        starts.extend(radius * np.exp(1j * np.linspace(0, TWO_PI, 9)[:-1]))
-    best = None
-    for start in starts:
-        u = _shift_newton(curve, start)
-        if u is not None and abs(u) < 1.0 - 1e-8:
-            best = u
+    zeros = np.exp(1j * np.stack([curve.alpha, curve.gamma]))
+    poles = np.exp(1j * curve.beta)
+    log_rho = np.log([curve.rho_z, curve.rho_w])
+
+    def residual(u: complex):
+        f = (log_rho + np.log(np.abs(u - zeros)).sum(axis=1)
+             - np.log(np.abs(u - poles)).sum())
+        grad = (1.0 / (u - zeros)).sum(axis=1) - (1.0 / (u - poles)).sum()
+        return f, np.column_stack([grad.real, -grad.imag])
+
+    u = 0.0 + 0.0j
+    f, jac = residual(u)
+    for step in range(60):
+        norm0 = np.linalg.norm(f)
+        if np.max(np.abs(f)) < 1e-12:
             break
-    if best is None:
-        # dense polar sweep before giving up
-        grid_best, grid_val = None, np.inf
-        for radius in np.linspace(0.05, 0.95, 19):
-            for ang in np.linspace(0, TWO_PI, 41)[:-1]:
-                u0 = radius * np.exp(1j * ang)
-                val = np.linalg.norm(_interior_log_moduli(curve, u0))
-                if val < grid_val:
-                    grid_best, grid_val = u0, val
-        u = _shift_newton(curve, grid_best)
-        if u is None or abs(u) >= 1.0 - 1e-8:
-            raise RuntimeError(
-                "no convergence: shift point search failed with best residual "
-                f"{grid_val:.3e}")
-        best = u
-    zeta = complex(best)
+        delta = np.linalg.lstsq(jac, -f, rcond=None)[0]
+        for lam in 0.5 ** np.arange(20):
+            trial = u + lam * complex(delta[0], delta[1])
+            if abs(trial) < 0.999999:
+                new_f, new_jac = residual(trial)
+                if np.linalg.norm(new_f) < norm0:
+                    u, f, jac = trial, new_f, new_jac
+                    break
+        else:
+            break
+    if np.max(np.abs(f)) >= 1e-12:
+        raise RuntimeError(
+            f"no convergence: shift search stopped at step {step}, "
+            f"residual {np.max(np.abs(f)):.3e}")
+    zeta = complex(u)
     matrix = np.array([[1.0, -zeta], [-np.conj(zeta), 1.0]], dtype=complex)
     return zeta, transport_gauge(curve, matrix)

@@ -218,6 +218,13 @@ def test_c09_jacobian_structure():
         # eigenvalue, which is what makes the full Jacobian semidefinite
         blocks = jacobian_blocks(curve)
         assert blocks.shape == (d, d, d, 3, 3)
+        # the Jacobian is the sum of the blocks over d, block (i, j, k)
+        # acting on the columns of (alpha_i, gamma_j, beta_k)
+        cols = np.stack(np.meshgrid(np.arange(d), d + np.arange(d), 2 * d + np.arange(d),
+                                    indexing="ij"), axis=-1)
+        summed = np.zeros((3 * d, 3 * d))
+        np.add.at(summed, (cols[..., :, None], cols[..., None, :]), blocks / d)
+        assert float(np.max(np.abs(summed - jac))) < 1e-12 * scale
         for i in range(d):
             for j in range(d):
                 for k in range(d):

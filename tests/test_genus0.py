@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import harnack.amoeba
 from harnack import (
+    BivariatePolynomial,
     BoundaryTriple,
     Genus0Curve,
     IsoradialAngles,
@@ -29,6 +31,7 @@ from harnack import (
     transport_gauge,
     validate_boundary_triple,
 )
+from harnack.genus0 import _circle_log_boundary
 
 TWO_PI = 2.0 * math.pi
 ANCHORS = (0.0, TWO_PI / 3.0, 4.0 * TWO_PI / 6.0)
@@ -106,6 +109,15 @@ class TestImplicitize:
             implicitize(canonical_d1(rho_z=2.0)).coeffs, [[1.0, -1.0], [-0.5, 0.0]], atol=1e-12
         )
 
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_high_degree(self, d):
+        curve = Genus0Curve.random(d, np.random.default_rng(50 + d))
+        poly = implicitize(curve)
+        assert poly.d == d
+        z, w = interior_value(curve, 0.3 - 0.6j)
+        scale = abs(BivariatePolynomial(d, np.abs(poly.coeffs))(abs(z), abs(w)))
+        assert abs(poly(z, w)) < 1e-9 * scale
+
     def test_boundary_roots_recover_the_triple(self):
         # intercept families of the implicit curve against the parametric data
         curve = Genus0Curve.random(2, np.random.default_rng(4))
@@ -169,6 +181,24 @@ class TestInversion:
         assert_allclose(np.sort(back.A), np.sort(target.A), rtol=1e-8)
         assert_allclose(np.sort(back.B), np.sort(target.B), rtol=1e-8)
         assert_allclose(np.sort(back.C), np.sort(target.C), rtol=1e-8)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_circle_jacobian_matches_differences(self, d):
+        # the solver's own Jacobian, prefactor columns included
+        curve = Genus0Curve.random(d, np.random.default_rng(60 + d))
+        state = np.concatenate([curve.alpha, curve.gamma, curve.beta,
+                                np.log([curve.rho_z, curve.rho_w])])
+        _, jac = _circle_log_boundary(state)
+        assert jac.shape == (3 * d, 3 * d + 2)
+        fd = np.zeros_like(jac)
+        step = 1e-6
+        for col in range(3 * d + 2):
+            shift = np.zeros_like(state)
+            shift[col] = step
+            plus = _circle_log_boundary(state + shift)[0]
+            minus = _circle_log_boundary(state - shift)[0]
+            fd[:, col] = (plus - minus) / (2.0 * step)
+        assert float(np.max(np.abs(fd - jac))) < 1e-6 * max(1.0, float(np.max(np.abs(jac))))
 
 
 class TestGaugeTransport:
@@ -246,19 +276,29 @@ class TestIsoradialShift:
         assert shifted.rho_w == pytest.approx(1.0, abs=1e-9)
 
     def test_recovers_after_transport(self):
-        curve = IsoradialAngles.random(2, np.random.default_rng(16)).as_curve()
-        zeta0 = 0.25 - 0.15j
-        matrix = np.array([[1.0, -zeta0], [-np.conj(zeta0), 1.0]], dtype=complex)
-        moved = transport_gauge(curve, matrix)
-        assert abs(moved.rho_z - 1.0) > 1e-3  # the transport really moved it
-        _, recovered = find_isoradial_shift(moved)
-        p0 = implicitize(curve)
-        p1 = implicitize(recovered)
-        assert_allclose(p1.coeffs / p1.coeffs[0, 0], p0.coeffs / p0.coeffs[0, 0], atol=1e-8)
-        assert recovered.rho_z == pytest.approx(1.0, abs=1e-8)
+        for d, seed, zeta0 in ((2, 16, 0.25 - 0.15j), (5, 18, -0.2 + 0.3j)):
+            curve = IsoradialAngles.random(d, np.random.default_rng(seed)).as_curve()
+            matrix = np.array([[1.0, -zeta0], [-np.conj(zeta0), 1.0]], dtype=complex)
+            moved = transport_gauge(curve, matrix)
+            assert abs(moved.rho_z - 1.0) > 1e-3  # the transport really moved it
+            _, recovered = find_isoradial_shift(moved)
+            p0 = implicitize(curve)
+            p1 = implicitize(recovered)
+            assert_allclose(p1.coeffs / p1.coeffs[0, 0], p0.coeffs / p0.coeffs[0, 0], atol=1e-8)
+            assert recovered.rho_z == pytest.approx(1.0, abs=1e-8)
+            assert recovered.rho_w == pytest.approx(1.0, abs=1e-8)
 
     def test_shift_is_none_when_origin_is_outside(self):
         # build a genus-zero curve whose amoeba misses the origin by scaling
         base = IsoradialAngles.random(1, np.random.default_rng(17)).as_curve()
         far = Genus0Curve(base.d, base.alpha, base.beta, base.gamma, 40.0, 1.0)
         assert find_isoradial_shift(far) is None
+
+    def test_stalled_search_raises(self, monkeypatch):
+        # with the amoeba test forced to pass, the solve from u = 0 has no
+        # unit point to reach and must say so instead of returning a point
+        base = IsoradialAngles.random(1, np.random.default_rng(17)).as_curve()
+        far = Genus0Curve(base.d, base.alpha, base.beta, base.gamma, 40.0, 1.0)
+        monkeypatch.setattr(harnack.amoeba, "amoeba_membership", lambda *args: True)
+        with pytest.raises(RuntimeError, match="^no convergence"):
+            find_isoradial_shift(far)
