@@ -218,6 +218,11 @@ def _branch_ranges(poly: BivariatePolynomial, xs: np.ndarray):
     return lo, hi, int(col.size)
 
 
+# log units: a narrower gap of an interior order is a node, and a root at a
+# real end that near a level is a real preimage
+_NODE_TOL = 1e-6
+
+
 def _crossings(logmods_fn, level: float) -> np.ndarray:
     """Sorted angles in (0, pi) where the number of root log-moduli below ``level`` changes.
 
@@ -226,10 +231,15 @@ def _crossings(logmods_fn, level: float) -> np.ndarray:
     read on the 256-angle sweep folded onto [0, pi] plus the real ends 0
     and pi, and every bracket where it changes is bisected, all in
     lockstep: at most 50 halvings, stopping once every bracket is below
-    1e-14.
+    1e-14. A real end with a root within ``_NODE_TOL`` of the level reads
+    its inner neighbour's count: that root is a real preimage (a node's
+    double root lies at +-1 ulp of the level), not a crossing in (0, pi).
     """
     phis = np.concatenate([[0.0], _half_sweep(256), [np.pi]])
-    counts = (logmods_fn(phis) < level).sum(axis=1)
+    logs = logmods_fn(phis)
+    counts = (logs < level).sum(axis=1)
+    on_level = (np.abs(logs[[0, -1]] - level) < _NODE_TOL).any(axis=1)
+    counts[[0, -1]] = np.where(on_level, counts[[1, -2]], counts[[0, -1]])
     idx = np.flatnonzero(np.diff(counts))
     if idx.size == 0:
         return np.empty(0)
@@ -472,9 +482,6 @@ def monge_ampere_residual(
     hess = _hessian_fd(lambda xx, yy: ronkin(poly, xx, yy), x, y, h)
     det = hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2
     return float(det - 1.0 / math.pi ** 2)
-
-
-_NODE_TOL = 1e-6  # log units: a narrower gap of an interior order is a node
 
 
 def _solve_gradient(poly: BivariatePolynomial, s: float, t: float) -> tuple[float, float, bool]:

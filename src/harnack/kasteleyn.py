@@ -22,6 +22,10 @@ absolute error of about eps * sum_kl |p_kl| e^{kx+ly}, so a coefficient is
 accurate on the tori where its own term is a large share of that sum. Each
 coefficient is read on the sampled torus where its relative error bound is
 smallest; the tori are chosen by greedy cover (``characteristic_polynomial``).
+The weights of ``EdgeWeights`` are real, so K at the conjugate sample is the
+entrywise conjugate of K and det K at the grid point (-k, -l) is the
+conjugate of det K at (k, l): each torus factors only half its grid and
+mirrors the rest.
 """
 
 from __future__ import annotations
@@ -194,9 +198,17 @@ def _torus_readings(weights: EdgeWeights, fields: np.ndarray):
     [t, i, j] is then p_ij f^{di} g^{dj} 2^{-e d^2}. Returns the readings
     and, per reading, the mantissa m and exponent k with p_ij = reading /
     m * 2^k, from the rounded f and g the samples used (1 and 0 outside the
-    triangle, where the readings only feed the check). A torus whose readings are not all finite reads nothing.
+    triangle, where the readings only feed the check). A torus whose
+    readings are not all finite reads nothing.
+
+    The weights are real, so only the grid points (k, l) that come first in
+    row-major order among themselves and their mates ((-k) mod n, (-l) mod
+    n) are factored, (n^2 + s)/2 per torus with s = 1 self-conjugate point
+    for odd n and 4 for even n; each mate takes the conjugate determinant.
     Residual imaginary parts or entries outside the Newton triangle above
-    1e-9 of a torus's largest entry raise."""
+    1e-9 of a torus's largest entry raise. With the grid conjugate-symmetric
+    the imaginary parts are only the FFT's rounding, so it is the entries
+    outside the triangle that expose a wrong determinant."""
     d, n = weights.d, weights.d + 1
     f = np.exp(fields[:, 0] / d)[:, None, None]
     g = np.exp(fields[:, 1] / d)[:, None, None]
@@ -205,15 +217,21 @@ def _torus_readings(weights: EdgeWeights, fields: np.ndarray):
     e = e.astype(int)[:, None, None]
     a, b, c = np.ldexp(a, -e), np.ldexp(b, -e), np.ldexp(weights.c, -e)
     unit = np.exp(2j * np.pi * np.arange(n) / n)
-    torus = np.repeat(np.arange(len(fields)), n * n)
-    z = np.tile(np.repeat(unit, n), len(fields))
-    w = np.tile(unit, n * len(fields))
+    k, l = np.divmod(np.arange(n * n), n)
+    mate = (-k) % n * n + (-l) % n
+    half = np.flatnonzero(np.arange(n * n) <= mate)
+    torus = np.repeat(np.arange(len(fields)), half.size)
+    z = np.tile(unit[k[half]], len(fields))
+    w = np.tile(unit[l[half]], len(fields))
     step = max(1, _CHUNK_BYTES // (16 * d ** 4))
     dets = np.concatenate([
         np.linalg.det(_kasteleyn_batch(a[torus[s:s + step]], b[torus[s:s + step]],
                                        c[torus[s:s + step]], z[s:s + step], w[s:s + step]))
-        for s in range(0, len(z), step)])
-    readings = np.fft.fft2(dets.reshape(len(fields), n, n)) / n ** 2
+        for s in range(0, len(z), step)]).reshape(len(fields), half.size)
+    grid = np.empty((len(fields), n * n), dtype=complex)
+    grid[:, mate[half]] = dets.conj()
+    grid[:, half] = dets
+    readings = np.fft.fft2(grid.reshape(len(fields), n, n)) / n ** 2
     ii, jj = np.indices((n, n))
     for raw in readings[np.isfinite(readings).all(axis=(1, 2))]:
         top = np.max(np.abs(raw))

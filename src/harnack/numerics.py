@@ -104,6 +104,15 @@ def _taylor_terms(coeffs: np.ndarray, z: complex, upto: int) -> list[float]:
     return out
 
 
+# noise floor of the multiple-root certificate, relative to
+# sum_k |q_k| max(1, |u|)^k: Horner's rule errs by at most about 2n eps
+# times that sum at degree n, and the boundary sides that call ``roots``
+# have degree n <= MAX_DOMAIN = 16, so 64 eps is twice that bound.
+# A pair of simple roots near -1 merges up to 3e-7 apart (relative) and
+# stays apart from 1e-6 on; a floor of 1e-12 (~4500 eps) merged 3e-6.
+_MERGE_NOISE = 64 * float(np.finfo(float).eps)
+
+
 def _refine_multiple(coeffs: np.ndarray, group: list[complex]):
     """Merge a tight root group into one multiplicity-m root when certified.
 
@@ -147,7 +156,7 @@ def _refine_multiple(coeffs: np.ndarray, group: list[complex]):
     if lead == 0.0:
         return None
     # low-order terms must be dominated by the m-th, up to evaluation noise
-    noise = 1e-12 * float(np.sum(np.abs(q) * np.maximum(1.0, abs(u)) ** np.arange(q.size)))
+    noise = _MERGE_NOISE * float(np.sum(np.abs(q) * np.maximum(1.0, abs(u)) ** np.arange(q.size)))
     for k in range(m):
         if terms[k] * radius ** k > max(1e-3 * lead, noise):
             return None

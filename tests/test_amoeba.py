@@ -475,6 +475,18 @@ class TestRealLocus:
         for x, y in points:
             assert two_to_one_check(poly, x, y) == expected
 
+    def test_node_count_survives_last_bit_noise(self):
+        # u3's node is a double root at log|w| = 0 on the real end phi = 0,
+        # where one ulp decides which side of the level it falls: the real
+        # end must not read that as a crossing near phi = 0
+        base = TWO_TO_ONE_MODELS["u3"]().coeffs
+        inside = np.add.outer(np.arange(4), np.arange(4)) <= 3
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            coeffs = base.copy()
+            coeffs[inside] = np.nextafter(coeffs[inside], rng.choice([-np.inf, np.inf], inside.sum()))
+            assert two_to_one_check(BivariatePolynomial(3, coeffs), 0.0, 0.0) == 1
+
     def test_opened_hole_matches_closed_oval(self):
         poly = perturbed_u3(1.01)
         ovals = trace_real_ovals(

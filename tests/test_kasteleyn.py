@@ -275,6 +275,42 @@ class TestBalancedTori:
         monkeypatch.setattr(kasteleyn, "_torus_readings", with_a_dead_torus)
         assert np.array_equal(characteristic_polynomial(w).coeffs, clean)
 
+    @pytest.mark.parametrize("d, count", [(1, 4), (2, 5), (3, 10), (6, 25)])
+    def test_half_the_grid_is_factored(self, monkeypatch, d, count):
+        # det K at (-k, -l) is the conjugate of det K at (k, l): a torus
+        # factors (n^2 + s)/2 matrices, n = d + 1 and s = 1 (n odd) or 4
+        # (n even) self-conjugate samples
+        factored = []
+        det = np.linalg.det
+
+        def counting(matrices):
+            factored.append(len(matrices))
+            return det(matrices)
+
+        monkeypatch.setattr(np.linalg, "det", counting)
+        kasteleyn._torus_readings(EdgeWeights.random(d, np.random.default_rng(70 + d)),
+                                  np.array([[0.0, 0.0], [0.5, -0.3]]))
+        assert sum(factored) == 2 * count
+
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_one_bad_determinant_raises(self, monkeypatch, d):
+        # a determinant off by 1e-6 relative (and so its mirrored mate)
+        # spreads over every reading, outside the triangle too
+        det = np.linalg.det
+        calls = []
+
+        def one_off(matrices):
+            out = det(matrices)
+            if not calls:
+                out[1] *= 1.0 + 1e-6
+            calls.append(len(matrices))
+            return out
+
+        kasteleyn._memo_polynomial.cache_clear()
+        monkeypatch.setattr(np.linalg, "det", one_off)
+        with pytest.raises(RuntimeError, match="interpolation inconsistency"):
+            characteristic_polynomial(EdgeWeights.random(d, np.random.default_rng(80 + d)))
+
     def test_weights_near_overflow(self):
         # det K of these weights overflows away from the unit torus; every
         # torus is rescaled by a power of two, so P is exactly that of the

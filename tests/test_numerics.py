@@ -84,6 +84,15 @@ class TestRoots:
         assert triple.size == 3
         assert np.max(np.abs(triple - triple[0])) == 0.0
 
+    def test_close_pair_is_not_a_double_root(self):
+        # two simple roots 1.8e-6 apart (relative): merged into one certified
+        # double root they would each be off by 9e-7
+        true = [-3.0, -1.0, -1.0 + 1.8e-6, -0.2]
+        found = np.array(roots(np.polynomial.polynomial.polyfromroots(true)))
+        assert found.size == 4
+        for want in true:
+            assert np.min(np.abs(found - want)) < 1e-9 * abs(want)
+
     def test_residuals_at_simple_roots(self):
         rng = np.random.default_rng(3)
         coeffs = rng.standard_normal(7)
