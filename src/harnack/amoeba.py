@@ -17,6 +17,10 @@ precision. R's exact Hessian, read at the same crossings, drives one Newton
 solve of grad R = (i, j) per interior lattice order, which finds the holes.
 The same crossings count the preimages of a point for the 2-to-1 check.
 Raster, Ronkin, gradient, volume and the 2-to-1 count all read [0, pi] only.
+R is affine on every complement component, and Jensen's formula along the
+tentacles gives each unbounded facet's intercept in closed form from the
+boundary roots. One Horner kernel (``_partials``) gives P, z P_z and w P_w
+at a point, for the exact Hessian's rho and for the real-oval trace.
 """
 
 from __future__ import annotations
@@ -118,14 +122,15 @@ class RealOval:
     stalled: bool = False  # a walk ended on a tiny step or on max_steps, not by closing or leaving
 
 
+def _tentacle_logs(bp: BoundaryPoints) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted log|root| of the south (``on_w0``), west (``on_z0``) and
+    north-east (``at_inf``) tentacle families."""
+    return tuple(np.sort(np.log(np.abs(family))) for family in (bp.on_w0, bp.on_z0, bp.at_inf))
+
+
 def auto_window(poly: BivariatePolynomial, pad: float = 2.0) -> tuple[float, float, float, float]:
     """Bounding box of the boundary-point logs, padded."""
-    bp = boundary_points(poly)
-    pool = np.concatenate([
-        np.log(np.abs(bp.on_w0)),
-        np.log(np.abs(bp.on_z0)),
-        np.log(np.abs(bp.at_inf)),
-    ])
+    pool = np.concatenate(_tentacle_logs(boundary_points(poly)))
     lo, hi = float(pool.min()) - pad, float(pool.max()) + pad
     return (lo, hi, lo, hi)
 
@@ -311,10 +316,7 @@ def _frame_consistent(member: np.ndarray, grid_window, nx, ny, poly) -> bool:
     py = (y1 - y0) / ny
     xc = x0 + (np.arange(nx) + 0.5) * px
     yc = y0 + (np.arange(ny) + 0.5) * py
-    bp = boundary_points(poly)
-    south = np.log(np.abs(bp.on_w0))
-    west = np.log(np.abs(bp.on_z0))
-    diag = np.log(np.abs(bp.at_inf))
+    south, west, diag = _tentacle_logs(boundary_points(poly))
     tol = 0.6 + 2.0 * max(px, py)
 
     def near(vals, targets):
@@ -437,17 +439,16 @@ def _ronkin_hessian(poly: BivariatePolynomial, x: float, y: float, phis: np.ndar
 
     At a crossing the w-root w_c of P(z_c, w) with z_c = e^{x + i phi_c} has
     log|w_c| = y. Along the curve d log w / d log z = -rho with
-    rho = z P_z / (w P_w), so the crossing moves with x and the root count
-    changes with y at the rates that give
+    rho = z P_z / (w P_w), read from ``_partials``, so the crossing moves
+    with x and the root count changes with y at the rates that give
     H = sum_c [[|rho|^2, Re rho], [Re rho, 1]] / (pi |Im rho|).
     With one crossing det H = 1/pi^2 identically; with none H = 0 (a facet).
     """
     z = np.exp(x + 1j * phis)
     roots = polyroots_batch(poly.w_coefficients(z))
     w = roots[np.arange(phis.size), np.argmin(np.abs(np.log(np.abs(roots)) - y), axis=1)]
-    k = np.arange(poly.d + 1)
-    terms = (z[:, None] ** k)[:, :, None] * poly.coeffs * (w[:, None] ** k)[:, None, :]
-    rho = (terms * k[:, None]).sum(axis=(1, 2)) / (terms * k).sum(axis=(1, 2))
+    parts = [_partials(poly, zc, wc) for zc, wc in zip(z.tolist(), w.tolist())]
+    rho = np.array([pz / pw for _, pz, pw, _ in parts], dtype=complex)
     weight = 1.0 / (math.pi * np.abs(rho.imag))
     hxy = float(np.dot(weight, rho.real))
     return np.array([[float(np.dot(weight, np.abs(rho) ** 2)), hxy], [hxy, float(weight.sum())]])
@@ -588,62 +589,26 @@ def detect_holes(poly: BivariatePolynomial, grid: AmoebaGrid | None = None, nx: 
 def facet_intercepts(poly: BivariatePolynomial) -> dict:
     """Intercepts of the affine-linear pieces of R over all complement components.
 
-    Unbounded facets are probed directly: the component of lattice order
-    (k, 0) sits between the k-th and (k+1)-st south tentacle (sorted by their
-    root logs), far below the amoeba body, and similarly for the west and
-    north-east families. Probes move deeper until the exact Ronkin gradient
-    matches the expected order, so tentacles thinner than any raster pixel
-    are still separated. The holes come from ``detect_holes``, one Newton
-    solve of grad R = (i, j) per interior order.
+    The unbounded facets come in closed form from the boundary roots. Far
+    south, R(x, y) tends to the Jensen mean of log|P(e^{x+i phi}, 0)|, that
+    is log|p_{d,0}| + sum_i max(x, log|r_i|) over the ``on_w0`` roots r:
+    between the k-th and (k+1)-st of them, sorted by log-modulus, R is
+    k x + c_(k,0) with c_(k,0) = log|p_{d,0}| + sum_{i>k} log|r_i|. The west
+    facets (0, k) read the ``on_z0`` roots with p_{0,d}, and the north-east
+    facets (k, d-k) the ``at_inf`` roots (of s = z/w) with p_{d,0}. The
+    corners (0, 0), (d, 0) and (0, d) are log|p_{0,0}|, log|p_{d,0}| and
+    log|p_{0,d}|. Two roots within 1e-9 in log-modulus pinch their facet to
+    a ray, which has no entry. The holes come from ``detect_holes``, one
+    Newton solve of grad R = (i, j) per interior order.
     """
-    bp = boundary_points(poly)
     d = poly.d
-    south = np.sort(np.log(np.abs(bp.on_w0)))
-    west = np.sort(np.log(np.abs(bp.on_z0)))
-    diag = np.sort(np.log(np.abs(bp.at_inf)))
-    floor = float(min(south.min(), west.min(), diag.min()))
-    ceil = float(max(south.max(), west.max(), diag.max()))
-
-    def gaps(roots, lo_pad, hi_pad):
-        probes = [float(roots[0]) - lo_pad]
-        for a, b in zip(roots[:-1], roots[1:]):
-            if b - a > 1e-9:
-                probes.append(float(0.5 * (a + b)))
-            else:
-                probes.append(None)  # pinched facet, no 2-D component
-        probes.append(float(roots[-1]) + hi_pad)
-        return probes
-
-    out: dict[tuple[int, int], float] = {}
-
-    def try_probe(x, y, order):
-        for depth in (0.0, 4.0, 12.0, 24.0):
-            xx = x(depth) if callable(x) else x
-            yy = y(depth) if callable(y) else y
-            gx, gy = gradient_ronkin(poly, xx, yy)
-            if abs(gx - order[0]) < 1e-9 and abs(gy - order[1]) < 1e-9:
-                val = ronkin(poly, xx, yy) - order[0] * xx - order[1] * yy
-                if order in out and abs(val - out[order]) > 1e-7 * max(1.0, abs(val)):
-                    raise ValueError(f"facet probe mismatch at {order}")
-                out.setdefault(order, float(val))
-                return
-        raise ValueError(f"hole assignment failed: no facet probe for {order}")
-
-    for k, x_probe in enumerate(gaps(south, 4.0, 4.0)):
-        if x_probe is not None:
-            try_probe(x_probe, lambda dep: floor - 4.0 - dep, (k, 0))
-    for k, y_probe in enumerate(gaps(west, 4.0, 4.0)):
-        if y_probe is not None:
-            try_probe(lambda dep: floor - 4.0 - dep, y_probe, (0, k))
-    # u = x - y increasing from -inf sweeps orders (0,d) ... (d,0)
-    for k, u_probe in enumerate(gaps(diag, 4.0, 4.0)):
-        if u_probe is not None:
-            order = (k, d - k)
-            try_probe(
-                lambda dep, u=u_probe: ceil + 4.0 + dep + 0.5 * u,
-                lambda dep, u=u_probe: ceil + 4.0 + dep - 0.5 * u,
-                order,
-            )
+    c = poly.coeffs
+    south, west, diag = _tentacle_logs(boundary_points(poly))
+    out = {(0, 0): math.log(abs(c[0, 0])), (d, 0): math.log(abs(c[d, 0])), (0, d): math.log(abs(c[0, d]))}
+    for k in range(1, d):
+        for logs, lead, order in ((south, c[d, 0], (k, 0)), (west, c[0, d], (0, k)), (diag, c[d, 0], (k, d - k))):
+            if logs[k] - logs[k - 1] > 1e-9:
+                out[order] = math.log(abs(lead)) + float(logs[k:].sum())
     for hole in detect_holes(poly).holes:
         out[hole.order] = hole.intercept
     return out
@@ -829,62 +794,50 @@ def two_to_one_check(
     return count
 
 
-def _real_value(poly, z: float, w: float) -> float:
-    """P(z, w) at real z and w, in plain floats.
+def _partials(poly: BivariatePolynomial, z, w):
+    """P, z P_z, w P_w and the term-modulus scale sum |p_ij| |z|^i |w|^j at (z, w).
 
-    The Horner order is that of ``BivariatePolynomial.__call__``. With both
-    imaginary parts zero, numpy's complex product has real part
-    ar*br - 0*0 = ar*br, so the result equals ``poly(z, w).real`` (a zero may
-    differ in sign).
+    One plain-Python Horner pass, for real or complex z and w, in the
+    Horner order of ``BivariatePolynomial.__call__``. At real z and w
+    numpy's complex product has real part ar*br - 0*0 = ar*br, so P equals
+    ``poly(z, w).real`` (a zero may differ in sign).
     """
     d = poly.d
     c = poly.coeffs.tolist()
-    out = 0.0
+    az, aw = abs(z), abs(w)
+    p = pz = pw = scale = 0.0
     for j in range(d, -1, -1):
-        col = 0.0
+        col = dcol = acol = 0.0
         for i in range(d, -1, -1):
+            dcol = dcol * z + col
             col = col * z + c[i][j]
-        out = out * w + col
-    return out
-
-
-def _log_gradient(poly, signs, X: float, Y: float, eps: float) -> tuple[float, float]:
-    """Central differences at step eps of Re P(sz e^X, sw e^Y) in X and in Y.
-
-    These are Re z dP/dz and Re w dP/dw on the real quadrant ``signs``.
-    """
-    sz, sw = signs
-    z = sz * math.exp(X)
-    w = sw * math.exp(Y)
-    fx = (_real_value(poly, sz * math.exp(X + eps), w) - _real_value(poly, sz * math.exp(X - eps), w)) / (2 * eps)
-    fy = (_real_value(poly, z, sw * math.exp(Y + eps)) - _real_value(poly, z, sw * math.exp(Y - eps))) / (2 * eps)
-    return fx, fy
+            acol = acol * az + abs(c[i][j])
+        pw = pw * w + p
+        p = p * w + col
+        pz = pz * w + dcol
+        scale = scale * aw + acol
+    return p, z * pz, w * pw, scale
 
 
 def _newton_to_curve(poly, signs, point):
     """Project a (X, Y) log-point onto the real curve branch in its quadrant.
 
-    Newton steps along the log gradient, at most 30, until |P| is below
-    1e-13 of the sum of its term moduli; None when that fails.
+    Newton steps along the log gradient (z P_z, w P_w), at most 30, until
+    |P| is below 1e-13 of the sum of its term moduli at the point the step
+    starts from; None when that fails.
     """
     sz, sw = signs
     X, Y = point
     for _ in range(30):
-        f = _real_value(poly, sz * math.exp(X), sw * math.exp(Y))
-        fx, fy = _log_gradient(poly, signs, X, Y, 1e-7)
+        f, fx, fy, scale = _partials(poly, sz * math.exp(X), sw * math.exp(Y))
         norm2 = fx * fx + fy * fy
         if norm2 == 0:
             return None
         step = f / norm2
         X, Y = X - step * fx, Y - step * fy
-        if abs(f) < 1e-13 * _poly_scale(poly, math.exp(X), math.exp(Y)):
+        if abs(f) < 1e-13 * scale:
             return X, Y
     return None
-
-
-def _poly_scale(poly, zabs, wabs):
-    i = np.arange(poly.d + 1)
-    return float(((np.abs(poly.coeffs) * (zabs ** i)[:, None]) * (wabs ** i)[None, :]).sum())
 
 
 def trace_real_ovals(
@@ -983,10 +936,11 @@ def _trace_from(poly, signs, start, window, max_steps, sense):
     (the step fell below 1e-6, or max_steps ran out).
     """
     x0, x1, y0, y1 = window
+    sz, sw = signs
     margin = 0.5
 
     def tangent(X, Y):
-        fx, fy = _log_gradient(poly, signs, X, Y, 1e-6)
+        _, fx, fy, _ = _partials(poly, sz * math.exp(X), sw * math.exp(Y))
         norm = math.hypot(fx, fy)
         if norm == 0:
             return None
@@ -1061,8 +1015,7 @@ def _area_window_pad(bp: BoundaryPoints) -> tuple[float, int]:
     """
     mult = 1
     penalty = 0.0
-    for family in (bp.on_w0, bp.on_z0, bp.at_inf):
-        logs = np.sort(np.log(np.abs(family)))
+    for logs in _tentacle_logs(bp):
         for v in logs:
             gaps = np.abs(logs - v)
             mult = max(mult, int(np.sum(gaps <= 1e-3)))

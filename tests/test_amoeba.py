@@ -1,5 +1,6 @@
 """Amoeba membership, Ronkin function, hole census, and the Harnack certificate."""
 
+import cmath
 import math
 import re
 
@@ -16,6 +17,7 @@ from harnack import (
     amoeba_area,
     amoeba_membership,
     auto_window,
+    boundary_points,
     characteristic_polynomial,
     detect_holes,
     facet_intercepts,
@@ -438,11 +440,39 @@ class TestHoles:
         x, y = hole.deep_point
         assert not amoeba_membership(poly, x, y)
 
-    def test_facet_intercepts_of_line(self, line_poly):
-        table = facet_intercepts(line_poly)
-        assert set(table) == {(0, 0), (1, 0), (0, 1)}
-        for value in table.values():
-            assert abs(value) < 1e-9
+    @pytest.mark.parametrize(
+        "model, unbounded", [("line", 3), ("u3", 3), ("rand3", 9), ("rand4", 12)], ids=["line", "u3", "rand3", "rand4"]
+    )
+    def test_facet_intercepts_of_line(self, model, unbounded):
+        poly = characteristic_polynomial(EdgeWeights.uniform(1)) if model == "line" else TWO_TO_ONE_MODELS[model]()
+        d, c = poly.d, poly.coeffs
+        south, west, diag = amoeba_mod._tentacle_logs(boundary_points(poly))
+        # Vieta: each family's roots multiply to the ratio of its end coefficients
+        for logs, lead, const in ((south, c[d, 0], c[0, 0]), (west, c[0, d], c[0, 0]), (diag, c[d, 0], c[0, d])):
+            assert math.log(abs(lead)) + logs.sum() == pytest.approx(math.log(abs(const)), abs=1e-12)
+        table = facet_intercepts(poly)
+        facets = {order: value for order, value in table.items() if 0 in order or sum(order) == d}
+        assert len(facets) == unbounded
+        if model in ("line", "u3"):
+            # u3's boundary roots are triple: its inner facets pinch to rays
+            assert set(table) == {(0, 0), (d, 0), (0, d)}
+        # oracle: a point 16 log units past the outermost root, between adjacent
+        # tentacles; rand4's (0, 2) facet opens only past x = -14.3, 12.3 past it
+        floor = float(min(south[0], west[0], diag[0])) - 16.0
+        ceil = float(max(south[-1], west[-1], diag[-1])) + 16.0
+        for (i, j), value in facets.items():
+            if (i, j) in ((0, 0), (d, 0), (0, d)):
+                x, y = (ceil if i else floor), (ceil if j else floor)
+            elif j == 0:
+                x, y = 0.5 * (south[i - 1] + south[i]), floor
+            elif i == 0:
+                x, y = floor, 0.5 * (west[j - 1] + west[j])
+            else:
+                u = 0.5 * (diag[i - 1] + diag[i])  # u = x - y sweeps (0, d) ... (d, 0)
+                x, y = ceil + 0.5 * u, ceil - 0.5 * u
+            gx, gy = gradient_ronkin(poly, x, y)
+            assert abs(gx - i) < 1e-9 and abs(gy - j) < 1e-9
+            assert ronkin(poly, x, y) - i * x - j * y == pytest.approx(value, abs=1e-9)
 
 
 TWO_TO_ONE_MODELS = {
@@ -542,7 +572,19 @@ class TestOvalTrace:
                 for X, Y in rng.uniform(-4.0, 4.0, size=(25, 2)):
                     z, w = sz * math.exp(X), sw * math.exp(Y)
                     # == rather than bytes: a zero may differ in sign
-                    assert amoeba_mod._real_value(poly, z, w) == poly(z, w).real
+                    assert amoeba_mod._partials(poly, z, w)[0] == poly(z, w).real
+        # the log-partials and the scale against the dense term tensor, at real and complex points
+        k = np.arange(d + 1)
+        for n, (X, Y, a, b) in enumerate(rng.uniform(-4.0, 4.0, size=(20, 4))):
+            if n % 2:  # a real point, in the sign quadrant of (a, b)
+                z, w = math.copysign(math.exp(X), a), math.copysign(math.exp(Y), b)
+            else:
+                z, w = cmath.rect(math.exp(X), a), cmath.rect(math.exp(Y), b)
+            terms = z ** k[:, None] * poly.coeffs * w ** k[None, :]
+            _, pz, pw, scale = amoeba_mod._partials(poly, z, w)
+            assert scale == pytest.approx(float(np.abs(terms).sum()), rel=1e-14)
+            assert abs(pz - (terms * k[:, None]).sum()) < 1e-12 * scale
+            assert abs(pw - (terms * k[None, :]).sum()) < 1e-12 * scale
 
     @pytest.mark.parametrize("d, seed", [(3, 2026), (4, 1), (5, 7)])
     def test_batched_seeds_equal_one_slice_seeds(self, d, seed):

@@ -31,3 +31,63 @@ def test_every_private_module_name_is_used():
                 used.add(node.attr)
     assert defined
     assert sorted(f"{module}: {name}" for name, module in defined.items() if name not in used) == []
+
+
+def _options(fn: ast.FunctionDef, method: bool) -> list[tuple[int | None, str]]:
+    """(positional index or None, name) of each parameter with a default; a method's index skips self."""
+    positional = fn.args.posonlyargs + fn.args.args
+    if method and not any(isinstance(dec, ast.Name) and dec.id == "staticmethod" for dec in fn.decorator_list):
+        positional = positional[1:]
+    out = [(k, arg.arg) for k, arg in enumerate(positional) if k >= len(positional) - len(fn.args.defaults)]
+    return out + [(None, arg.arg) for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default]
+
+
+def _dict_keys(tree: ast.Module) -> dict[str, set[str]]:
+    """Keys of each module-level NAME = dict(...) or {...} literal, which a call may pass as **NAME."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            value = node.value
+            if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) and value.func.id == "dict":
+                out[node.targets[0].id] = {kw.arg for kw in value.keywords if kw.arg}
+            elif isinstance(value, ast.Dict):
+                out[node.targets[0].id] = {k.value for k in value.keys if isinstance(k, ast.Constant)}
+    return out
+
+
+def test_every_keyword_option_is_set_by_some_call():
+    # a keyword option of a public function that no call in src/, tests/,
+    # scripts/ or perfbench/ sets is a knob nobody turns; calls match by callee name
+    options = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                options.setdefault(node.name, set()).update(_options(node, method=False))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                        options.setdefault(fn.name, set()).update(_options(fn, method=True))
+    set_by_call = set()
+    root = SRC.parent.parent
+    for path in sorted(p for top in ("src", "tests", "scripts", "perfbench") for p in (root / top).rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        spreads = _dict_keys(tree)
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            for index, option in options.get(name, ()):
+                by_position = index is not None and (starred or len(call.args) > index)
+                by_name = any(
+                    kw.arg == option
+                    or (kw.arg is None and isinstance(kw.value, ast.Name) and option in spreads.get(kw.value.id, ()))
+                    for kw in call.keywords
+                )
+                if by_position or by_name:
+                    set_by_call.add((name, option))
+    assert options
+    unset = sorted(f"{name}({option}=)" for name, opts in options.items() for _, option in opts
+                   if (name, option) not in set_by_call)
+    assert unset == []
