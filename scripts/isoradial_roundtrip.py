@@ -48,7 +48,8 @@ def main():
         recovered = found[1]
         p0 = implicitize(curve).coeffs
         p1 = implicitize(recovered).coeffs
-        err = np.max(np.abs(p1 / p1[0, 0] - p0 / p0[0, 0]))
+        # scaled to largest coefficient 1: p_00 can be rounding-small from d = 8 on
+        err = np.max(np.abs(p1 / np.abs(p1).max() - p0 / np.abs(p0).max()))
         rho_err = max(abs(recovered.rho_z - 1.0), abs(recovered.rho_w - 1.0))
         worst = max(worst, err, rho_err)
         if err > args.tol or rho_err > args.tol:

@@ -958,29 +958,20 @@ def _trace_from(poly, signs, start, window, max_steps, sense):
     for step_idx in range(max_steps):
         Xp, Yp = X + h * t[0], Y + h * t[1]
         proj = _newton_to_curve(poly, signs, (Xp, Yp))
-        if proj is None or math.hypot(proj[0] - Xp, proj[1] - Yp) > 2.0 * h:
-            h *= 0.5
-            if h < 1e-6:
-                return path, "stalled"
-            continue
-        Xn, Yn = proj
-        tn = tangent(Xn, Yn)
-        if tn is None:
-            h *= 0.5
-            if h < 1e-6:
-                return path, "stalled"
-            continue
+        far = proj is None or math.hypot(proj[0] - Xp, proj[1] - Yp) > 2.0 * h
+        tn = None if far else tangent(*proj)
         # keep orientation consistent
-        if t[0] * tn[0] + t[1] * tn[1] < 0:
+        if tn is not None and t[0] * tn[0] + t[1] * tn[1] < 0:
             tn = (-tn[0], -tn[1])
-        turn = math.atan2(t[0] * tn[1] - t[1] * tn[0], t[0] * tn[0] + t[1] * tn[1])
+        turn = math.inf if tn is None else math.atan2(t[0] * tn[1] - t[1] * tn[0], t[0] * tn[0] + t[1] * tn[1])
         if abs(turn) > 0.35:
+            # no projection near the predictor, no tangent there, or too sharp a turn
             h *= 0.5
             if h < 1e-6:
                 return path, "stalled"
             continue
         total_turn += turn
-        X, Y, t = Xn, Yn, tn
+        X, Y, t = proj[0], proj[1], tn
         path.append((X, Y))
         if abs(turn) < 0.05 and h < 0.08:
             h = min(1.5 * h, 0.08)

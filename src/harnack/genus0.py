@@ -8,8 +8,9 @@ pairwise-log kernel (``_pair_log_kernel``) gives log|A|, log|B|, log|C| and
 their Jacobian in two charts: with log|sin(x/2)| on the circle, where damped
 Newton recovers the angles from a valid triple, and with log|x| on the line,
 where the Jacobian is symmetric.  The same angle triples drive the isoradial
-weights; a Newton solve with the exact Jacobian finds the shift to unit
-prefactors.
+weights, and the implicit polynomial is read off that dimer model:
+P(z, w) = det K((-1)^d z / rho_z, (-1)^d w / rho_w) up to scale.  A Newton
+solve with the exact Jacobian finds the shift to unit prefactors.
 """
 
 from __future__ import annotations
@@ -193,52 +194,33 @@ def evaluate_parametrization(curve: Genus0Curve, t):
     return z, w
 
 
-def _sample_parameters(curve: Genus0Curve, count: int, offset: float,
-                       pole_radius: float = 0.05) -> np.ndarray:
-    """Equally spaced parameter angles, thinned near the poles."""
-    radius = pole_radius
-    while True:
-        t = np.linspace(0.0, TWO_PI, 4 * count + 21)[:-1] + offset
-        dist = np.abs(_wrap_signed(t[:, None] - curve.beta[None, :])).min(axis=1)
-        keep = t[dist > radius]
-        if len(keep) >= count:
-            return keep[:count]
-        radius *= 0.5
+def _circle_residual(poly: BivariatePolynomial, curve: Genus0Curve, sign: float) -> float:
+    """Largest relative residual |P(sign z, sign w)| / P_abs(|z|, |w|) of
+    ``poly`` on the curve, where P_abs has the absolute coefficients, at 100
+    parameter angles equally spaced from 0.1234 and kept 1e-3 away from the
+    poles (at spacing 2pi/420 each pole drops at most one angle)."""
+    t = np.linspace(0.0, TWO_PI, 421)[:-1] + 0.1234
+    dist = np.abs(_wrap_signed(t[:, None] - curve.beta[None, :])).min(axis=1)
+    z, w = evaluate_parametrization(curve, t[dist > 1e-3][:100])
+    scale = np.abs(BivariatePolynomial(poly.d, np.abs(poly.coeffs))(np.abs(z), np.abs(w)))
+    return float(np.max(np.abs(poly(sign * z, sign * w)) / scale))
 
 
 def implicitize(curve: Genus0Curve) -> BivariatePolynomial:
-    """Recover the implicit polynomial of total degree d as the
-    one-dimensional null space of a monomial collocation matrix; 100 samples
-    on the circle must then give a relative residual below 1e-9.
-
-    The samples are ``interior_value`` at |u| = 1/2, away from every zero and
-    pole, with z and w divided by their prefactors; each sample gives a real
-    and an imaginary row, and rows and columns are scaled to unit size
-    before the SVD.  Unscaled samples on the circle gave a null space of
-    dimension > 1 on many draws from d = 4 on; this form holds up to d = 7
-    (a few random draws fail the residual check at d = 8)."""
+    """The implicit polynomial of total degree d, read off the isoradial
+    dimer model: the spectral curve of ``isoradial_weights`` on the curve's
+    angles carries the unit-prefactor parametrization after the sign flip
+    (-1)^d, so P(z, w) = Q((-1)^d z / rho_z, (-1)^d w / rho_w) with
+    Q = ``characteristic_polynomial`` of those weights.  The result is scaled
+    to largest coefficient 1 with p_00 positive (or, when |p_00| <= 1e-12,
+    the first coefficient above 1e-12 in row-major order); 100 samples on
+    the circle must then give a relative residual below 1e-9."""
     d = curve.d
-    pairs = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
-    pow_z = np.array([i for i, _ in pairs])
-    pow_w = np.array([j for _, j in pairs])
-    n = len(pairs) + 30
-    u = 0.5 * np.exp(TWO_PI * 1j * (np.arange(n) + 0.2171) / n)
-    zw = np.array([interior_value(curve, uk) for uk in u])
-    z = zw[:, 0] / curve.rho_z
-    w = zw[:, 1] / curve.rho_w
-    rows = z[:, None] ** pow_z[None, :] * w[:, None] ** pow_w[None, :]
-    rows /= np.abs(rows).max(axis=1, keepdims=True)
-    rows = np.concatenate([rows.real, rows.imag])
-    col_norm = np.linalg.norm(rows, axis=0)
-    _, sigma, vh = np.linalg.svd(rows / col_norm, full_matrices=False)
-    null_dim = int(np.sum(sigma < 1e-10 * sigma[0]))
-    if null_dim != 1:
-        raise ValueError(
-            f"parametrization degenerate: null space dimension {null_dim}")
-    vec = vh[-1] / col_norm / (curve.rho_z ** pow_z * curve.rho_w ** pow_w)
-    vec = vec / np.abs(vec).max()
-    coeffs = np.zeros((d + 1, d + 1))
-    coeffs[pow_z, pow_w] = vec
+    q = characteristic_polynomial(isoradial_weights(IsoradialAngles.from_curve(curve)))
+    ii, jj = np.indices(q.coeffs.shape)
+    sign = (-1.0) ** d
+    coeffs = q.coeffs * (sign / curve.rho_z) ** ii * (sign / curve.rho_w) ** jj
+    coeffs /= np.abs(coeffs).max()
     anchor = coeffs[0, 0]
     if abs(anchor) < 1e-12:
         flat = coeffs.reshape(-1)
@@ -246,10 +228,7 @@ def implicitize(curve: Genus0Curve) -> BivariatePolynomial:
     if anchor < 0:
         coeffs = -coeffs
     poly = BivariatePolynomial(d, coeffs)
-    t_check = _sample_parameters(curve, 100, offset=0.777)
-    zc, wc = evaluate_parametrization(curve, t_check)
-    scale = np.abs(BivariatePolynomial(d, np.abs(coeffs))(np.abs(zc), np.abs(wc)))
-    worst = float(np.max(np.abs(poly(zc, wc)) / scale))
+    worst = _circle_residual(poly, curve, 1.0)
     if worst > 1e-9:
         raise ValueError(
             f"parametrization degenerate: implicit residual {worst:.3e}")
@@ -618,14 +597,8 @@ def isoradial_spectral_check(angles: IsoradialAngles) -> IsoradialReport:
     the origin."""
     from .amoeba import amoeba_membership
 
-    weights = isoradial_weights(angles)
-    poly = characteristic_polynomial(weights)
-    curve = angles.as_curve()
-    t = _sample_parameters(curve, 100, offset=0.1234, pole_radius=1e-3)
-    z, w = evaluate_parametrization(curve, t)
-    sign = (-1.0) ** angles.d
-    scale = np.abs(BivariatePolynomial(poly.d, np.abs(poly.coeffs))(np.abs(z), np.abs(w)))
-    residual = float(np.max(np.abs(poly(sign * z, sign * w)) / scale))
+    poly = characteristic_polynomial(isoradial_weights(angles))
+    residual = _circle_residual(poly, angles.as_curve(), (-1.0) ** angles.d)
     origin = amoeba_membership(poly, 0.0, 0.0)
     return IsoradialReport(residual=residual, on_curve=residual < 1e-8,
                            origin_in_amoeba=origin)

@@ -109,7 +109,7 @@ class TestImplicitize:
             implicitize(canonical_d1(rho_z=2.0)).coeffs, [[1.0, -1.0], [-0.5, 0.0]], atol=1e-12
         )
 
-    @pytest.mark.parametrize("d", [5, 6])
+    @pytest.mark.parametrize("d", [5, 6, 10, 12])
     def test_high_degree(self, d):
         curve = Genus0Curve.random(d, np.random.default_rng(50 + d))
         poly = implicitize(curve)
@@ -287,6 +287,19 @@ class TestIsoradialShift:
             assert_allclose(p1.coeffs / p1.coeffs[0, 0], p0.coeffs / p0.coeffs[0, 0], atol=1e-8)
             assert recovered.rho_z == pytest.approx(1.0, abs=1e-8)
             assert recovered.rho_w == pytest.approx(1.0, abs=1e-8)
+
+    def test_recovers_after_transport_at_degree_nine(self):
+        # |p_00| is 7.5e-14 of the largest coefficient here, so dividing by
+        # it would measure rounding: compare at largest = 1 instead
+        curve = IsoradialAngles.random(9, np.random.default_rng(91)).as_curve()
+        zeta0 = -0.2 + 0.25j
+        matrix = np.array([[1.0, -zeta0], [-np.conj(zeta0), 1.0]], dtype=complex)
+        _, recovered = find_isoradial_shift(transport_gauge(curve, matrix))
+        p0 = implicitize(curve).coeffs
+        p1 = implicitize(recovered).coeffs
+        assert_allclose(p1 / np.abs(p1).max(), p0 / np.abs(p0).max(), atol=1e-10)
+        assert recovered.rho_z == pytest.approx(1.0, abs=1e-10)
+        assert recovered.rho_w == pytest.approx(1.0, abs=1e-10)
 
     def test_shift_is_none_when_origin_is_outside(self):
         # build a genus-zero curve whose amoeba misses the origin by scaling

@@ -10,6 +10,24 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name that a Name (other than an assignment target) or an Attribute in tree reads."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def _caller_trees():
+    """Parsed .py files of src/, tests/, scripts/ and perfbench/, the code that may call the library."""
+    root = SRC.parent.parent
+    for path in sorted(p for top in ("src", "tests", "scripts", "perfbench") for p in (root / top).rglob("*.py")):
+        yield ast.parse(path.read_text(), filename=str(path))
+
+
 def test_every_private_module_name_is_used():
     # a module-level _name that nothing in the library reads is dead code
     defined, used = {}, set()
@@ -24,11 +42,7 @@ def test_every_private_module_name_is_used():
             else:
                 continue
             defined.update((name, path.name) for name in names if _private(name))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        used |= _names_read(tree)
     assert defined
     assert sorted(f"{module}: {name}" for name, module in defined.items() if name not in used) == []
 
@@ -68,9 +82,7 @@ def test_every_keyword_option_is_set_by_some_call():
                     if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
                         options.setdefault(fn.name, set()).update(_options(fn, method=True))
     set_by_call = set()
-    root = SRC.parent.parent
-    for path in sorted(p for top in ("src", "tests", "scripts", "perfbench") for p in (root / top).rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for tree in _caller_trees():
         spreads = _dict_keys(tree)
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
@@ -91,3 +103,19 @@ def test_every_keyword_option_is_set_by_some_call():
     unset = sorted(f"{name}({option}=)" for name, opts in options.items() for _, option in opts
                    if (name, option) not in set_by_call)
     assert unset == []
+
+
+def test_every_public_name_is_referenced():
+    # a public function, class or method that no Name or Attribute in src/,
+    # tests/, scripts/ or perfbench/ reads is dead API; its own def does not count
+    defined = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.add((path.name, node.name))
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                defined.update((path.name, f"{node.name}.{fn.name}") for fn in node.body
+                               if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"))
+    used = set().union(*map(_names_read, _caller_trees()))
+    assert defined
+    assert sorted(f"{module}: {name}" for module, name in defined if name.split(".")[-1] not in used) == []
