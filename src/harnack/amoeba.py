@@ -4,18 +4,22 @@ The amoeba of P is the image of its zero set under (z, w) -> (log|z|, log|w|).
 P is real, so the w-root moduli of z = exp(x + i phi) are even in phi, and
 the amoeba column at x is the union of the ranges of the sorted w-root
 log-modulus branches m_k(phi) over [0, pi]. Raster and point membership
-both read those ranges: the end values come from the real roots at
-z = +-exp(x), widened where a sampled interior extremum of a branch passes
-them. On a Harnack curve the amoeba map is at most 2-to-1 and critical only
-on the real locus, so the branches are monotone and the end values decide.
+both read those ranges, the points of one query in one call over their
+distinct columns: the end values come from the real roots at z = +-exp(x),
+widened where a sampled interior extremum of a branch passes them. On a
+Harnack curve the amoeba map is at most 2-to-1 and critical only on the
+real locus, so the branches are monotone and the end values decide.
 The Ronkin function is evaluated by a Jensen-type reduction to a
 one-dimensional integral over the half period [0, pi], split at the angles
-where a root modulus crosses exp(y); its gradient has exact
-piecewise-constant counting integrands over the same half period, which
-makes facet slopes of complement components come out at nearly machine
-precision. R's exact Hessian, read at the same crossings, drives one Newton
-solve of grad R = (i, j) per interior lattice order, which finds the holes.
-The same crossings count the preimages of a point for the 2-to-1 check.
+where a root modulus crosses exp(y). A sweep brackets those crossings and
+Illinois regula falsi on the crossing branch refines them, all brackets in
+lockstep; the Monge-Ampere stencil's nine values share one sweep per column
+and one quadrature. The gradient has exact piecewise-constant counting
+integrands over the same half period, which makes facet slopes of
+complement components come out at nearly machine precision. R's exact
+Hessian, read at the same crossings, drives one Newton solve of
+grad R = (i, j) per interior lattice order, which finds the holes. The
+same crossings count the preimages of a point for the 2-to-1 check.
 Raster, Ronkin, gradient, volume and the 2-to-1 count all read [0, pi] only.
 R is affine on every complement component, and Jensen's formula along the
 tentacles gives each unbounded facet's intercept in closed form from the
@@ -228,42 +232,94 @@ def _branch_ranges(poly: BivariatePolynomial, xs: np.ndarray):
 _NODE_TOL = 1e-6
 
 
-def _crossings(logmods_fn, level: float) -> np.ndarray:
-    """Sorted angles in (0, pi) where the number of root log-moduli below ``level`` changes.
+def _crossings(coefficients, cols, levels) -> list[np.ndarray]:
+    """Sorted angles in (0, pi) where the number of root log-moduli below a level changes.
 
-    ``logmods_fn(angles)`` returns the log-moduli at each angle, shape
-    (angles, degree), even in the angle because P is real. The count is
-    read on the 256-angle sweep folded onto [0, pi] plus the real ends 0
-    and pi, and every bracket where it changes is bisected, all in
-    lockstep: at most 50 halvings, stopping once every bracket is below
-    1e-14. A real end with a root within ``_NODE_TOL`` of the level reads
-    its inner neighbour's count: that root is a real preimage (a node's
-    double root lies at +-1 ulp of the level), not a crossing in (0, pi).
+    Column i holds the roots of the coefficient rows ``coefficients(z)``
+    (``poly.w_coefficients`` or ``poly.z_coefficients``) at
+    z = e^{cols[i] + i phi}; P is real, so their log-moduli are even in phi.
+    ``levels[i]`` lists the levels of column i, and one array of angles is
+    returned per (column, level) pair, in row-major order. One root batch
+    reads every column on the 256-angle sweep folded onto [0, pi] plus the
+    real ends 0 and pi, and all levels of a column share it. A real end
+    with a root within ``_NODE_TOL`` of the level reads its inner
+    neighbour's count: that root is a real preimage (a node's double root
+    lies at +-1 ulp of the level), not a crossing in (0, pi).
+
+    Where the count changes between two sweep angles, the sorted branch with
+    index min(count at lo, count at hi) crosses the level, so that branch
+    minus the level changes sign across the bracket. Illinois regula falsi
+    (regula falsi that halves the value kept at an end that stayed put twice
+    running) refines all brackets in lockstep, one root batch per round,
+    and bisects where the interpolant leaves the bracket. A bracket stops at
+    width 1e-14 or |branch - level| < 1e-15, or after 60 rounds, and gives
+    the end with the smaller |branch - level|. Brackets stop on their own,
+    so each result is the same however many columns and levels share a call.
     """
+    cols = np.asarray(cols, dtype=float)
+    levels = np.asarray(levels, dtype=float)
     phis = np.concatenate([[0.0], _half_sweep(256), [np.pi]])
-    logs = logmods_fn(phis)
-    counts = (logs < level).sum(axis=1)
-    on_level = (np.abs(logs[[0, -1]] - level) < _NODE_TOL).any(axis=1)
-    counts[[0, -1]] = np.where(on_level, counts[[1, -2]], counts[[0, -1]])
-    idx = np.flatnonzero(np.diff(counts))
-    if idx.size == 0:
-        return np.empty(0)
-    lo, hi, below = phis[idx], phis[idx + 1], counts[idx]
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        take_hi = (logmods_fn(mid) < level).sum(axis=1) != below
-        hi = np.where(take_hi, mid, hi)
-        lo = np.where(take_hi, lo, mid)
-        if np.max(hi - lo) < 1e-14:
+    z = np.exp(np.repeat(cols, phis.size) + 1j * np.tile(phis, cols.size))
+    logs = np.sort(_root_logmods(coefficients(z)), axis=1).reshape(cols.size, 1, phis.size, -1)
+    # counts[i, l, j]: the roots of column i below its level l at sweep angle j
+    counts = (logs < levels[:, :, None, None]).sum(axis=3)
+    on_level = (np.abs(logs[:, :, [0, -1]] - levels[:, :, None, None]) < _NODE_TOL).any(axis=3)
+    counts[:, :, [0, -1]] = np.where(on_level, counts[:, :, [1, -2]], counts[:, :, [0, -1]])
+    col, lev, j = np.nonzero(np.diff(counts, axis=2))
+    branch = np.minimum(counts[col, lev, j], counts[col, lev, j + 1])
+    level = levels[col, lev]
+    lo, hi = phis[j], phis[j + 1]
+    f_lo, f_hi = logs[col, 0, j, branch] - level, logs[col, 0, j + 1, branch] - level
+    # interpolation values: the true ones, but halved at an end that stayed put twice running
+    g_lo, g_hi = f_lo.copy(), f_hi.copy()
+    moved = np.zeros(lo.size)  # -1 where lo moved last, +1 where hi did
+    for _ in range(60):
+        todo = np.flatnonzero((hi - lo >= 1e-14) & (np.minimum(np.abs(f_lo), np.abs(f_hi)) >= 1e-15))
+        if todo.size == 0:
             break
-    return 0.5 * (lo + hi)
+        a, b = lo[todo], hi[todo]
+        t = (a * g_hi[todo] - b * g_lo[todo]) / (g_hi[todo] - g_lo[todo])
+        t = np.where((a < t) & (t < b), t, 0.5 * (a + b))
+        # one row would take numpy's matrix-vector product, which may round
+        # differently: a lone bracket is read twice, so that its value does
+        # not depend on how many brackets share the round
+        z = np.exp(cols[col[todo]] + 1j * t)
+        at = np.sort(_root_logmods(coefficients(np.resize(z, max(z.size, 2)))), axis=1)
+        f = at[np.arange(todo.size), branch[todo]] - level[todo]
+        left = (f < 0) == (f_lo[todo] < 0)
+        up, down = todo[left], todo[~left]
+        lo[up], f_lo[up], g_lo[up] = t[left], f[left], f[left]
+        g_hi[up] *= np.where(moved[up] < 0, 0.5, 1.0)
+        hi[down], f_hi[down], g_hi[down] = t[~left], f[~left], f[~left]
+        g_lo[down] *= np.where(moved[down] > 0, 0.5, 1.0)
+        moved[up], moved[down] = -1.0, 1.0
+    best = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
+    owner = col * levels.shape[1] + lev
+    return np.split(best, np.cumsum(np.bincount(owner, minlength=levels.size))[:-1])
+
+
+def _membership(poly: BivariatePolynomial, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Whether each point (xs[i], ys[i]) lies in the amoeba of P.
+
+    The raster's rule: ys[i] lies in one of the branch ranges of the column
+    at xs[i]. One ``_branch_ranges`` call reads the distinct columns.
+    """
+    cols, at = np.unique(xs, return_inverse=True)
+    lo, hi, _ = _branch_ranges(poly, cols)
+    ys = np.asarray(ys, dtype=float)[:, None]
+    return np.any((lo[at] <= ys) & (ys <= hi[at]), axis=1)
 
 
 def amoeba_membership(poly: BivariatePolynomial, x: float, y: float) -> bool:
-    """Whether (x, y) lies in the amoeba of P: whether y lies in one of the
-    branch ranges of the column at x, the raster's rule for one column."""
-    lo, hi, _ = _branch_ranges(poly, np.array([x], dtype=float))
-    return bool(np.any((lo <= y) & (y <= hi)))
+    """Whether (x, y) lies in the amoeba of P, the one-point case of the
+    raster's rule (``_membership``)."""
+    return bool(_membership(poly, np.array([x], dtype=float), np.array([y]))[0])
+
+
+def _ring(radius: float) -> list[tuple[float, float]]:
+    """The offsets of the eight points at ``radius`` around a point, 45 degrees apart."""
+    angles = [2.0 * math.pi * k / 8.0 for k in range(8)]
+    return [(radius * math.cos(ang), radius * math.sin(ang)) for ang in angles]
 
 
 def sample_interior(
@@ -280,10 +336,13 @@ def sample_interior(
     are all amoeba members, so they stay clear of the boundary where the
     Ronkin function loses smoothness. A positive ``ring`` also requires the
     eight points at that radius to be members, the check that
-    ``monge_ampere_residual`` makes at ring = 3h. Raises RuntimeError after
-    4000 draws per requested point.
+    ``monge_ampere_residual`` makes at ring = 3h. The points of one draw are
+    tested together (``_membership``). Raises RuntimeError after 4000 draws
+    per requested point.
     """
     x0, x1, y0, y1 = auto_window(poly, pad=0.5)
+    offsets = [(0.0, 0.0), (margin, 0.0), (-margin, 0.0), (0.0, margin), (0.0, -margin)]
+    dx, dy = np.array(offsets + (_ring(ring) if ring > 0.0 else [])).T
     points = []
     attempts = 0
     while len(points) < count:
@@ -292,21 +351,9 @@ def sample_interior(
             raise RuntimeError("no convergence: interior point sampling stalled")
         x = rng.uniform(x0, x1)
         y = rng.uniform(y0, y1)
-        if all(
-            amoeba_membership(poly, x + dx, y + dy)
-            for dx, dy in ((0, 0), (margin, 0), (-margin, 0), (0, margin), (0, -margin))
-        ) and (ring <= 0.0 or _ring_inside(poly, x, y, ring)):
+        if _membership(poly, x + dx, y + dy).all():
             points.append((x, y))
     return points
-
-
-def _ring_inside(poly: BivariatePolynomial, x: float, y: float, radius: float) -> bool:
-    """Whether the eight points at ``radius`` around (x, y) are amoeba members."""
-    for k in range(8):
-        ang = 2.0 * math.pi * k / 8.0
-        if not amoeba_membership(poly, x + radius * math.cos(ang), y + radius * math.sin(ang)):
-            return False
-    return True
 
 
 def _frame_consistent(member: np.ndarray, grid_window, nx, ny, poly) -> bool:
@@ -381,28 +428,43 @@ def amoeba_area(grid: AmoebaGrid) -> AreaEstimate:
 
 
 def ronkin(poly: BivariatePolynomial, x: float, y: float) -> float:
-    """Ronkin function R(x, y) of P.
+    """Ronkin function R(x, y) of P, the one-point case of ``_ronkin_grid``.
 
     Averages log|P(e^{x+i phi}, e^{y+i psi})| over the torus; the psi average
     collapses by Jensen's formula to log|p_{0,d}| + sum_r max(y, log|w_r|).
     That integrand is even in phi (P is real), so it is integrated over
     [0, pi] with panels split at the crossings of y (``_crossings``), to
-    1e-11 by ``integrate_panels``, the kernel and half-period convention of
-    ``_column_integrals``. Raises RuntimeError when that quadrature does not
-    converge.
+    1e-11 by ``integrate_panels``. Raises RuntimeError when that quadrature
+    does not converge.
+    """
+    return float(_ronkin_grid(poly, np.array([x], dtype=float), np.array([y], dtype=float))[0, 0])
+
+
+def _ronkin_grid(poly: BivariatePolynomial, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """R(xs[i], ys[l]) for every column xs[i] and level ys[l], shape (len(xs), len(ys)).
+
+    One ``_crossings`` call finds the w-crossings of every level, each
+    column's levels sharing its sweep, and one ``integrate_panels`` call
+    integrates all the Jensen integrands over [0, pi], split at those
+    crossings, by ``owner``: the kernel and half-period convention of
+    ``_column_integrals``. Each value is the same to the bit as when its
+    point is evaluated alone. Raises RuntimeError, naming the point, when a
+    quadrature does not converge.
     """
     lead = abs(poly.corner("w"))
     if lead == 0.0:
         raise ValueError("vanishing corner coefficient p_{0,d}")
+    crossings = _crossings(poly.w_coefficients, xs, np.broadcast_to(ys, (xs.size, ys.size)))
+    col, level = np.repeat(xs, ys.size), np.tile(ys, xs.size)
 
-    def logs_at(phis):
-        return _w_logmods(poly, x, phis)
+    def integrand(phis, owner):
+        return np.maximum(level[owner, None], _w_logmods(poly, col[owner], phis)).sum(axis=1)
 
-    edges = np.concatenate([[0.0], _crossings(logs_at, y), [math.pi]])
-    q = integrate_panels(lambda phis, owner: np.maximum(y, logs_at(phis)).sum(axis=1), [edges], 1e-11)[0]
-    if not q.converged:
-        raise RuntimeError(f"no convergence: Ronkin quadrature at ({x}, {y}) after {q.n} evaluations")
-    return math.log(lead) + q.value / math.pi
+    results = integrate_panels(integrand, [np.concatenate([[0.0], c, [math.pi]]) for c in crossings], 1e-11)
+    for x, y, q in zip(col.tolist(), level.tolist(), results):
+        if not q.converged:
+            raise RuntimeError(f"no convergence: Ronkin quadrature at ({x}, {y}) after {q.n} evaluations")
+    return (math.log(lead) + np.array([q.value for q in results]) / math.pi).reshape(xs.size, ys.size)
 
 
 def gradient_ronkin(poly: BivariatePolynomial, x: float, y: float) -> tuple[float, float]:
@@ -422,13 +484,11 @@ def gradient_ronkin(poly: BivariatePolynomial, x: float, y: float) -> tuple[floa
 def _gradient_crossings(poly: BivariatePolynomial, x: float, y: float) -> tuple[float, float, np.ndarray]:
     """``gradient_ronkin`` at (x, y), with the w-crossings in (0, pi) it read for dR/dy."""
     out = []
-    for logmods_fn, level in (
-        (lambda psis: _root_logmods(poly.z_coefficients(np.exp(y + 1j * psis))), x),
-        (lambda phis: _w_logmods(poly, x, phis), y),
-    ):
-        crossings = _crossings(logmods_fn, level)
+    for coefficients, col, level in ((poly.z_coefficients, y, x), (poly.w_coefficients, x, y)):
+        crossings = _crossings(coefficients, np.array([col]), np.array([[level]]))[0]
         edges = np.concatenate([[0.0], crossings, [math.pi]])
-        counts = (logmods_fn(0.5 * (edges[:-1] + edges[1:])) < level).sum(axis=1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        counts = (_root_logmods(coefficients(np.exp(col + 1j * mids))) < level).sum(axis=1)
         # edges in units of pi: a single segment has length 1.0, so a constant count stays exact
         out.append(float(np.dot(np.diff(edges / math.pi), counts)))
     return out[0], out[1], crossings
@@ -454,12 +514,12 @@ def _ronkin_hessian(poly: BivariatePolynomial, x: float, y: float, phis: np.ndar
     return np.array([[float(np.dot(weight, np.abs(rho) ** 2)), hxy], [hxy, float(weight.sum())]])
 
 
-def _hessian_fd(f, x, y, h):
-    """Central-difference Hessian of f at (x, y), step h: nine evaluations of f."""
-    f0 = f(x, y)
-    fxx = (f(x + h, y) + f(x - h, y) - 2.0 * f0) / h ** 2
-    fyy = (f(x, y + h) + f(x, y - h) - 2.0 * f0) / h ** 2
-    fxy = (f(x + h, y + h) + f(x - h, y - h) - f(x + h, y - h) - f(x - h, y + h)) / (4.0 * h ** 2)
+def _hessian_fd(f: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference Hessian at step h from the values f[i, j] of a
+    function at (x + (i - 1) h, y + (j - 1) h), i, j in 0, 1, 2."""
+    fxx = (f[2, 1] + f[0, 1] - 2.0 * f[1, 1]) / h ** 2
+    fyy = (f[1, 2] + f[1, 0] - 2.0 * f[1, 1]) / h ** 2
+    fxy = (f[2, 2] + f[0, 0] - f[2, 0] - f[0, 2]) / (4.0 * h ** 2)
     return np.array([[fxx, fxy], [fxy, fyy]])
 
 
@@ -473,14 +533,18 @@ def monge_ampere_residual(
 
     Harnack curves satisfy det Hess R = 1/pi^2 on the amoeba interior. The
     stencil is the plain O(h^2) one, so refinement studies see clean decay.
-    The point must be strictly inside the amoeba (a ring of radius 3h is
-    checked).
+    The point must be strictly inside the amoeba: the point and the ring of
+    eight points at radius 3h around it are tested in one ``_membership``
+    call. The nine stencil values come from one ``_ronkin_grid`` call over
+    the columns x - h, x, x + h and the levels y - h, y, y + h.
     """
-    if not amoeba_membership(poly, x, y):
+    dx, dy = np.array([(0.0, 0.0)] + _ring(3 * h)).T
+    inside = _membership(poly, x + dx, y + dy)
+    if not inside[0]:
         raise ValueError("point outside amoeba")
-    if not _ring_inside(poly, x, y, 3 * h):
+    if not inside.all():
         raise ValueError("point too close to amoeba boundary")
-    hess = _hessian_fd(lambda xx, yy: ronkin(poly, xx, yy), x, y, h)
+    hess = _hessian_fd(_ronkin_grid(poly, np.array([x - h, x, x + h]), np.array([y - h, y, y + h])), h)
     det = hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2
     return float(det - 1.0 / math.pi ** 2)
 
@@ -635,7 +699,9 @@ def legendre_dual_residual(poly: BivariatePolynomial, s: float, t: float) -> flo
 
     The dual Monge-Ampere check.
     """
-    hess = _hessian_fd(lambda ss, tt: legendre_transform(poly, ss, tt), s, t, 1e-2)
+    h = 1e-2
+    values = [[legendre_transform(poly, s + i * h, t + j * h) for j in (-1, 0, 1)] for i in (-1, 0, 1)]
+    hess = _hessian_fd(np.array(values), h)
     return float(hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2 - math.pi ** 2)
 
 
@@ -787,7 +853,7 @@ def two_to_one_check(
     real node counts 1. Harnack curves give exactly 2 at interior points
     (Mikhalkin-Rullgard).
     """
-    count = 2 * _crossings(lambda phis: _w_logmods(poly, x, phis), y).size
+    count = 2 * _crossings(poly.w_coefficients, np.array([x]), np.array([[y]]))[0].size
     for roots in polyroots_batch(poly.w_coefficients(np.array([math.exp(x), -math.exp(x)]))):
         near = roots[np.abs(np.log(np.maximum(np.abs(roots), 1e-300)) - y) < _NODE_TOL]
         count += sum(all(abs(r - s) >= _NODE_TOL * abs(r) for s in near[:k]) for k, r in enumerate(near))

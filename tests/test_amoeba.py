@@ -100,6 +100,40 @@ class TestMembership:
             x, y = rng.uniform(-2.0, 2.0, 2)
             assert amoeba_membership(moved, x, y) == amoeba_membership(base, x + bx, y + by)
 
+    def test_batched_membership_equals_point_verdicts(self):
+        # one _branch_ranges call over the distinct columns of a 40 x 40 grid
+        # and of the 3h rings of c04 points, whose columns nearly coincide
+        poly = characteristic_polynomial(EdgeWeights.random(3, np.random.default_rng(19)))
+        x0, x1, y0, y1 = auto_window(poly)
+        gx, gy = np.meshgrid(np.linspace(x0, x1, 40), np.linspace(y0, y1, 40))
+        points = list(zip(gx.ravel().tolist(), gy.ravel().tolist()))
+        for x, y in sample_interior(poly, 3, np.random.default_rng(5), margin=0.25):
+            points += [(x, y)] + [(x + 0.03 * math.cos(a), y + 0.03 * math.sin(a))
+                                  for a in np.arange(8) * math.pi / 4]
+        xs, ys = np.array(points).T
+        verdicts = amoeba_mod._membership(poly, xs, ys)
+        assert verdicts.tolist() == [amoeba_membership(poly, x, y) for x, y in points]
+        assert 100 < int(verdicts.sum()) < len(points) - 100
+
+    @pytest.mark.parametrize("ring", [0.0, 0.03])
+    def test_sample_interior_keeps_its_draws(self, ring):
+        # the points of one draw are tested together, and the same draws pass
+        poly = characteristic_polynomial(EdgeWeights.random(3, np.random.default_rng(19)))
+        x0, x1, y0, y1 = auto_window(poly, pad=0.5)
+        margin = 0.12
+        offsets = [(0, 0), (margin, 0), (-margin, 0), (0, margin), (0, -margin)]
+        if ring > 0.0:
+            offsets += [(ring * math.cos(2.0 * math.pi * k / 8.0), ring * math.sin(2.0 * math.pi * k / 8.0))
+                        for k in range(8)]
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            expected = []
+            while len(expected) < 4:
+                x, y = rng.uniform(x0, x1), rng.uniform(y0, y1)
+                if all(amoeba_membership(poly, x + dx, y + dy) for dx, dy in offsets):
+                    expected.append((x, y))
+            assert sample_interior(poly, 4, np.random.default_rng(seed), ring=ring) == expected
+
 
 def _rows_logmods(rows):
     mods = np.abs(polyroots_batch(rows))
@@ -220,8 +254,13 @@ def _dense_edges(logs, level, n_phi=20001):
     """0, the angles in (0, pi) where the count of log-moduli below level
     changes, and pi: a dense sweep, then 60 scalar halvings of each bracket."""
     phis = np.linspace(0.0, np.pi, n_phi)
-    counts = (logs(phis) < level).sum(axis=1)
-    out = [0.0]
+    return np.concatenate([[0.0], _bisected(logs, level, phis, (logs(phis) < level).sum(axis=1)), [np.pi]])
+
+
+def _bisected(logs, level, phis, counts):
+    """The angle where the count below level changes in each bracket of
+    ``phis`` where ``counts`` changes: 60 scalar halvings of the bracket."""
+    out = []
     for i in np.flatnonzero(np.diff(counts)).tolist():
         lo, hi = phis[i], phis[i + 1]
         for _ in range(60):
@@ -231,7 +270,20 @@ def _dense_edges(logs, level, n_phi=20001):
             else:
                 hi = mid
         out.append(0.5 * (lo + hi))
-    return np.array(out + [np.pi])
+    return np.array(out)
+
+
+def _bisected_crossings(logs, level):
+    """What ``_crossings`` finds, by plain bisection: the 256-angle sweep
+    folded onto [0, pi] plus the real ends, where a root within 1e-6 of the
+    level reads the inner neighbour's count, then ``_bisected``."""
+    phis = 2.0 * np.pi * (np.arange(256) + 0.382) / 256
+    phis = np.concatenate([[0.0], np.sort(np.minimum(phis, 2.0 * np.pi - phis)), [np.pi]])
+    logs_at = logs(phis)
+    counts = (logs_at < level).sum(axis=1)
+    on_level = (np.abs(logs_at[[0, -1]] - level) < 1e-6).any(axis=1)
+    counts[[0, -1]] = np.where(on_level, counts[[1, -2]], counts[[0, -1]])
+    return _bisected(logs, level, phis, counts)
 
 
 def _segment_mean(logs, level, edges):
@@ -276,6 +328,31 @@ class TestRonkinOracle:
         assert abs(gx - _dense_count_mean(_logs_z(poly, y), x)) < 1e-5
         assert abs(gy - _dense_count_mean(_logs_w(poly, x), y)) < 1e-5
         assert abs(ronkin(poly, x, y) - _split_oracle(poly, x, y)[0]) < 1e-10
+
+    @pytest.mark.parametrize("model", ["rand3", "rand4", "rand3-near-pi", "u3-node"])
+    def test_crossings_match_bisection(self, model):
+        # the c04 points on rand3 and rand4, the crossing 0.0032 below pi and
+        # u3's node: w- and z-crossings against 60 halvings of the same brackets
+        if model in ("rand3", "rand4"):
+            d, seed = {"rand3": (3, 19), "rand4": (4, 3)}[model]
+            poly = characteristic_polynomial(EdgeWeights.random(d, np.random.default_rng(seed)))
+            points = sample_interior(poly, 20, np.random.default_rng(5), margin=0.25)
+        elif model == "rand3-near-pi":
+            poly = characteristic_polynomial(EdgeWeights.random(3, np.random.default_rng(2026)))
+            points = [(-2.889383963677699, -0.7218804757140194)]
+        else:
+            poly, points = characteristic_polynomial(EdgeWeights.uniform(3)), [(0.0, 0.0)]
+        found = 0
+        for x, y in points:
+            for coefficients, col, level in ((poly.w_coefficients, x, y), (poly.z_coefficients, y, x)):
+                logs = lambda phis: _rows_logmods(coefficients(np.exp(col + 1j * np.asarray(phis, dtype=float))))
+                got = amoeba_mod._crossings(coefficients, np.array([col]), np.array([[level]]))[0]
+                want = _bisected_crossings(logs, level)
+                assert got.size == want.size
+                assert np.all(np.abs(got - want) < 1e-13)
+                assert np.all(np.abs(logs(got) - level).min(axis=1, initial=np.inf) < 1e-13)
+                found += got.size
+        assert found >= (0 if model == "u3-node" else len(points))
 
     @pytest.mark.parametrize("d, seed", [(3, 19), (4, 3)], ids=["rand3", "c13-rand4"])
     def test_interior_points_match_split_quadrature(self, d, seed):
@@ -380,6 +457,38 @@ class TestMongeAmpere:
             ]) / (2 * h)
             assert_allclose(hess, central, rtol=0, atol=1e-8)
             assert abs(np.linalg.det(hess) * math.pi ** 2 - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("d, seed", [(3, 19), (4, 3)], ids=["rand3", "rand4"])
+    def test_root_batches_per_query(self, d, seed, monkeypatch):
+        # crossings by Illinois and one batch per stencil: the 50-round
+        # bisection and nine single-point calls took 85 and 402 batches
+        poly = characteristic_polynomial(EdgeWeights.random(d, np.random.default_rng(seed)))
+        points = sample_interior(poly, 5, np.random.default_rng(5), margin=0.25)
+        batches = []
+        monkeypatch.setattr(amoeba_mod, "polyroots_batch", lambda rows: batches.append(1) or polyroots_batch(rows))
+        for x, y in points:
+            batches.clear()
+            gradient_ronkin(poly, x, y)
+            assert len(batches) <= 20
+            batches.clear()
+            monge_ampere_residual(poly, x, y)
+            assert len(batches) <= 80
+
+    @pytest.mark.parametrize("kind", ["line", "rand3", "rand4", "p2"])
+    def test_stencil_values_equal_point_values(self, kind, interior_sampler):
+        # p2 (the ma-check golden's model) is one where a single-row root
+        # batch rounds differently from a stacked one
+        poly = {
+            "p2": characteristic_polynomial(EdgeWeights.random(2, np.random.default_rng(5))),
+            "line": characteristic_polynomial(EdgeWeights.uniform(1)),
+            "rand3": characteristic_polynomial(EdgeWeights.random(3, np.random.default_rng(19))),
+            "rand4": characteristic_polynomial(EdgeWeights.random(4, np.random.default_rng(3))),
+        }[kind]
+        h = 1e-2
+        for x, y in interior_sampler(poly, 3, seed=5):
+            xs, ys = np.array([x - h, x, x + h]), np.array([y - h, y, y + h])
+            single = [[ronkin(poly, float(xx), float(yy)) for yy in ys] for xx in xs]
+            assert np.array_equal(amoeba_mod._ronkin_grid(poly, xs, ys), np.array(single))
 
     def test_residual_small_inside(self, line_poly):
         assert abs(monge_ampere_residual(line_poly, 0.1, -0.05)) < 1e-4
