@@ -232,7 +232,7 @@ def _branch_ranges(poly: BivariatePolynomial, xs: np.ndarray):
 _NODE_TOL = 1e-6
 
 
-def _crossings(coefficients, cols, levels) -> list[np.ndarray]:
+def _crossings(coefficients, cols, levels) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Sorted angles in (0, pi) where the number of root log-moduli below a level changes.
 
     Column i holds the roots of the coefficient rows ``coefficients(z)``
@@ -255,6 +255,9 @@ def _crossings(coefficients, cols, levels) -> list[np.ndarray]:
     width 1e-14 or |branch - level| < 1e-15, or after 60 rounds, and gives
     the end with the smaller |branch - level|. Brackets stop on their own,
     so each result is the same however many columns and levels share a call.
+    Also returns the root counts below the level on the segments between
+    crossings, read off the sweep: the count at angle 0 (after the real-end
+    rule), then the count at the first angle after each bracket.
     """
     cols = np.asarray(cols, dtype=float)
     levels = np.asarray(levels, dtype=float)
@@ -280,11 +283,7 @@ def _crossings(coefficients, cols, levels) -> list[np.ndarray]:
         a, b = lo[todo], hi[todo]
         t = (a * g_hi[todo] - b * g_lo[todo]) / (g_hi[todo] - g_lo[todo])
         t = np.where((a < t) & (t < b), t, 0.5 * (a + b))
-        # one row would take numpy's matrix-vector product, which may round
-        # differently: a lone bracket is read twice, so that its value does
-        # not depend on how many brackets share the round
-        z = np.exp(cols[col[todo]] + 1j * t)
-        at = np.sort(_root_logmods(coefficients(np.resize(z, max(z.size, 2)))), axis=1)
+        at = np.sort(_root_logmods(coefficients(np.exp(cols[col[todo]] + 1j * t))), axis=1)
         f = at[np.arange(todo.size), branch[todo]] - level[todo]
         left = (f < 0) == (f_lo[todo] < 0)
         up, down = todo[left], todo[~left]
@@ -294,8 +293,9 @@ def _crossings(coefficients, cols, levels) -> list[np.ndarray]:
         g_lo[down] *= np.where(moved[down] > 0, 0.5, 1.0)
         moved[up], moved[down] = -1.0, 1.0
     best = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
-    owner = col * levels.shape[1] + lev
-    return np.split(best, np.cumsum(np.bincount(owner, minlength=levels.size))[:-1])
+    split = np.cumsum(np.bincount(col * levels.shape[1] + lev, minlength=levels.size))[:-1]
+    after = np.split(counts[col, lev, j + 1], split)
+    return np.split(best, split), [np.append(first, rest) for first, rest in zip(counts[:, :, 0].flat, after)]
 
 
 def _membership(poly: BivariatePolynomial, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -454,7 +454,7 @@ def _ronkin_grid(poly: BivariatePolynomial, xs: np.ndarray, ys: np.ndarray) -> n
     lead = abs(poly.corner("w"))
     if lead == 0.0:
         raise ValueError("vanishing corner coefficient p_{0,d}")
-    crossings = _crossings(poly.w_coefficients, xs, np.broadcast_to(ys, (xs.size, ys.size)))
+    crossings, _ = _crossings(poly.w_coefficients, xs, np.broadcast_to(ys, (xs.size, ys.size)))
     col, level = np.repeat(xs, ys.size), np.tile(ys, xs.size)
 
     def integrand(phis, owner):
@@ -474,8 +474,9 @@ def gradient_ronkin(poly: BivariatePolynomial, x: float, y: float) -> tuple[floa
     dR/dy the mean over phi of the number of w-roots inside |w| < e^y. Both
     counts are even in the angle and piecewise constant, so each mean is
     the sum over the segments of [0, pi] between crossings (``_crossings``)
-    of segment length times the count at the segment midpoint, over pi. On
-    complement components they are integers to machine precision.
+    of segment length times the count on the segment, over pi, both read
+    off the same sweep. On complement components they are integers to
+    machine precision.
     """
     gx, gy, _ = _gradient_crossings(poly, x, y)
     return gx, gy
@@ -485,10 +486,8 @@ def _gradient_crossings(poly: BivariatePolynomial, x: float, y: float) -> tuple[
     """``gradient_ronkin`` at (x, y), with the w-crossings in (0, pi) it read for dR/dy."""
     out = []
     for coefficients, col, level in ((poly.z_coefficients, y, x), (poly.w_coefficients, x, y)):
-        crossings = _crossings(coefficients, np.array([col]), np.array([[level]]))[0]
+        (crossings,), (counts,) = _crossings(coefficients, np.array([col]), np.array([[level]]))
         edges = np.concatenate([[0.0], crossings, [math.pi]])
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        counts = (_root_logmods(coefficients(np.exp(col + 1j * mids))) < level).sum(axis=1)
         # edges in units of pi: a single segment has length 1.0, so a constant count stays exact
         out.append(float(np.dot(np.diff(edges / math.pi), counts)))
     return out[0], out[1], crossings
@@ -609,6 +608,25 @@ def _hole_pixels(grid: AmoebaGrid, x: float, y: float) -> int:
         region = grown
 
 
+def _order_gaps(poly: BivariatePolynomial) -> tuple[list[Hole], list[Hole]]:
+    """The holes and candidate nodes of ``detect_holes`` with no pixels counted."""
+    holes, nodes = [], []
+    for i in range(1, poly.d - 1):
+        for j in range(1, poly.d - i):
+            x, y, converged = _solve_gradient(poly, float(i), float(j))
+            if not converged:
+                raise RuntimeError(f"no convergence: hole solve of order ({i}, {j}) stopped at ({x}, {y})")
+            lo, hi, _ = _branch_ranges(poly, np.array([x]))
+            below, above = float(hi[0, j - 1]), float(lo[0, j])
+            if above - below < -_NODE_TOL:
+                continue
+            mid = 0.5 * (below + above)
+            hole = Hole(order=(i, j), pixel_count=0, area=0.0, deep_point=(float(x), mid),
+                        intercept=ronkin(poly, x, mid) - i * x - j * mid)
+            (holes if above - below > _NODE_TOL else nodes).append(hole)
+    return holes, nodes
+
+
 def detect_holes(poly: BivariatePolynomial, grid: AmoebaGrid | None = None, nx: int = 360) -> HoleReport:
     """Holes and candidate nodes of the amoeba, one per interior lattice order.
 
@@ -627,20 +645,7 @@ def detect_holes(poly: BivariatePolynomial, grid: AmoebaGrid | None = None, nx: 
     or, when a hole was found, from an ``nx`` by ``nx`` raster over
     ``auto_window(poly)``; they are 0 for a node or a hole thinner than a pixel.
     """
-    holes, nodes = [], []
-    for i in range(1, poly.d - 1):
-        for j in range(1, poly.d - i):
-            x, y, converged = _solve_gradient(poly, float(i), float(j))
-            if not converged:
-                raise RuntimeError(f"no convergence: hole solve of order ({i}, {j}) stopped at ({x}, {y})")
-            lo, hi, _ = _branch_ranges(poly, np.array([x]))
-            below, above = float(hi[0, j - 1]), float(lo[0, j])
-            if above - below < -_NODE_TOL:
-                continue
-            mid = 0.5 * (below + above)
-            hole = Hole(order=(i, j), pixel_count=0, area=0.0, deep_point=(float(x), mid),
-                        intercept=ronkin(poly, x, mid) - i * x - j * mid)
-            (holes if above - below > _NODE_TOL else nodes).append(hole)
+    holes, nodes = _order_gaps(poly)
     if holes and grid is None:
         grid = rasterize_amoeba(poly, nx=nx, ny=nx)
     for k, hole in enumerate(holes):
@@ -662,8 +667,8 @@ def facet_intercepts(poly: BivariatePolynomial) -> dict:
     facets (k, d-k) the ``at_inf`` roots (of s = z/w) with p_{d,0}. The
     corners (0, 0), (d, 0) and (0, d) are log|p_{0,0}|, log|p_{d,0}| and
     log|p_{0,d}|. Two roots within 1e-9 in log-modulus pinch their facet to
-    a ray, which has no entry. The holes come from ``detect_holes``, one
-    Newton solve of grad R = (i, j) per interior order.
+    a ray, which has no entry. The holes are those of ``detect_holes``, one
+    Newton solve of grad R = (i, j) per interior order, without its raster.
     """
     d = poly.d
     c = poly.coeffs
@@ -673,7 +678,7 @@ def facet_intercepts(poly: BivariatePolynomial) -> dict:
         for logs, lead, order in ((south, c[d, 0], (k, 0)), (west, c[0, d], (0, k)), (diag, c[d, 0], (k, d - k))):
             if logs[k] - logs[k - 1] > 1e-9:
                 out[order] = math.log(abs(lead)) + float(logs[k:].sum())
-    for hole in detect_holes(poly).holes:
+    for hole in _order_gaps(poly)[0]:
         out[hole.order] = hole.intercept
     return out
 
@@ -853,7 +858,7 @@ def two_to_one_check(
     real node counts 1. Harnack curves give exactly 2 at interior points
     (Mikhalkin-Rullgard).
     """
-    count = 2 * _crossings(poly.w_coefficients, np.array([x]), np.array([[y]]))[0].size
+    count = 2 * _crossings(poly.w_coefficients, np.array([x]), np.array([[y]]))[0][0].size
     for roots in polyroots_batch(poly.w_coefficients(np.array([math.exp(x), -math.exp(x)]))):
         near = roots[np.abs(np.log(np.maximum(np.abs(roots), 1e-300)) - y) < _NODE_TOL]
         count += sum(all(abs(r - s) >= _NODE_TOL * abs(r) for s in near[:k]) for k, r in enumerate(near))
@@ -979,10 +984,7 @@ def _quadrant_seeds(poly, window, n_seed):
                                     (1, np.linspace(y0, y1, n_seed), (x0, x1))):
         coefficients = poly.w_coefficients if axis == 0 else poly.z_coefficients
         for s in (1, -1):
-            # rows are built one slice at a time: one stacked powers @ coeffs
-            # product differs from them in the last bits
-            rows = np.vstack([coefficients(np.array([complex(s * math.exp(v))])) for v in slices])
-            roots = polyroots_batch(rows)
+            roots = polyroots_batch(coefficients(np.array([s * math.exp(v) for v in slices])))
             for other in (1, -1):
                 quadrant = seeds[(s, other) if axis == 0 else (other, s)]
                 for v, rts in zip(slices, roots):

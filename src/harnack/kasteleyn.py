@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import EdgeWeights, all_zigzag_products
-from .numerics import roots
+from .numerics import horner, roots
 
 __all__ = [
     "BivariatePolynomial",
@@ -73,27 +73,18 @@ class BivariatePolynomial:
         object.__setattr__(self, "coeffs", out)
 
     def __call__(self, z, w):
-        z = np.asarray(z, dtype=complex)
-        w = np.asarray(w, dtype=complex)
-        # Horner in w, coefficients polynomials in z evaluated by Horner too
-        out = np.zeros(np.broadcast(z, w).shape, dtype=complex)
-        for j in range(self.d, -1, -1):
-            col = np.zeros_like(out)
-            for i in range(self.d, -1, -1):
-                col = col * z + self.coeffs[i, j]
-            out = out * w + col
+        z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
+        # Horner in w over the coefficient rows of w -> P(z, w)
+        out = horner(self.w_coefficients(z.ravel()).T, w.ravel()).reshape(z.shape)
         return out if out.shape else complex(out)
 
     def w_coefficients(self, z) -> np.ndarray:
-        """Coefficient rows of w -> P(z, w) for an array of z values."""
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        powers = z[:, None] ** np.arange(self.d + 1)[None, :]
-        return powers @ self.coeffs
+        """Coefficient rows of w -> P(z, w), one per z, each independent of how many share the call."""
+        return horner(self.coeffs, np.asarray(z, dtype=complex).reshape(-1, 1))
 
     def z_coefficients(self, w) -> np.ndarray:
-        w = np.atleast_1d(np.asarray(w, dtype=complex))
-        powers = w[:, None] ** np.arange(self.d + 1)[None, :]
-        return powers @ self.coeffs.T
+        """Coefficient rows of z -> P(z, w), one per w, as ``w_coefficients``."""
+        return horner(self.coeffs.T, np.asarray(w, dtype=complex).reshape(-1, 1))
 
     def corner(self, which: str) -> float:
         return {

@@ -27,7 +27,18 @@ __all__ = [
     "integrate_periodic_kinked",
     "integrate_panels",
     "polyroots_batch",
+    "horner",
 ]
+
+
+def horner(coeffs, x):
+    """sum_k coeffs[k] x^k by elementwise Horner, x broadcast against each coeffs[k]:
+    every entry takes the same operations however many share the call (a matrix
+    product of the powers of x with the coefficients rounds one row unlike a stack)."""
+    out = np.zeros((), dtype=complex)
+    for c in coeffs[::-1]:
+        out = out * x + c
+    return out
 
 
 @dataclass(frozen=True)
@@ -52,11 +63,7 @@ class ComplexPoly:
         return self.coeffs.size - 1
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for c in self.coeffs[::-1]:
-            out = out * z + c
-        return out
+        return horner(self.coeffs, np.asarray(z, dtype=complex))
 
     def derivative(self) -> "ComplexPoly":
         if self.degree == 0:

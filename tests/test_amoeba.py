@@ -346,11 +346,14 @@ class TestRonkinOracle:
         for x, y in points:
             for coefficients, col, level in ((poly.w_coefficients, x, y), (poly.z_coefficients, y, x)):
                 logs = lambda phis: _rows_logmods(coefficients(np.exp(col + 1j * np.asarray(phis, dtype=float))))
-                got = amoeba_mod._crossings(coefficients, np.array([col]), np.array([[level]]))[0]
+                (got,), (counts,) = amoeba_mod._crossings(coefficients, np.array([col]), np.array([[level]]))
                 want = _bisected_crossings(logs, level)
                 assert got.size == want.size
                 assert np.all(np.abs(got - want) < 1e-13)
                 assert np.all(np.abs(logs(got) - level).min(axis=1, initial=np.inf) < 1e-13)
+                # the sweep's segment counts are the root counts at the segment midpoints
+                edges = np.concatenate([[0.0], want, [np.pi]])
+                assert np.array_equal(counts, (logs(0.5 * (edges[:-1] + edges[1:])) < level).sum(axis=1))
                 found += got.size
         assert found >= (0 if model == "u3-node" else len(points))
 
@@ -474,10 +477,27 @@ class TestMongeAmpere:
             monge_ampere_residual(poly, x, y)
             assert len(batches) <= 80
 
+    @pytest.mark.parametrize("d, seed", [(3, 19), (4, 3)], ids=["rand3", "rand4"])
+    def test_gradient_solves_no_roots_of_its_own(self, d, seed, monkeypatch):
+        # the segment counts come from the sweep of the two crossing calls
+        poly = characteristic_polynomial(EdgeWeights.random(d, np.random.default_rng(seed)))
+        points = sample_interior(poly, 20, np.random.default_rng(5), margin=0.25)
+        batches = []
+        monkeypatch.setattr(amoeba_mod, "polyroots_batch", lambda rows: batches.append(1) or polyroots_batch(rows))
+        for x, y in points:
+            batches.clear()
+            amoeba_mod._crossings(poly.z_coefficients, np.array([y]), np.array([[x]]))
+            amoeba_mod._crossings(poly.w_coefficients, np.array([x]), np.array([[y]]))
+            crossing_batches = len(batches)
+            batches.clear()
+            gradient_ronkin(poly, x, y)
+            assert len(batches) == crossing_batches
+
     @pytest.mark.parametrize("kind", ["line", "rand3", "rand4", "p2"])
     def test_stencil_values_equal_point_values(self, kind, interior_sampler):
-        # p2 (the ma-check golden's model) is one where a single-row root
-        # batch rounds differently from a stacked one
+        # p2 (the ma-check golden's model) has points where a lone bracket
+        # reads one coefficient row alone and in the stencil shares its round
+        # with others: it fails when a row depends on how many share a call
         poly = {
             "p2": characteristic_polynomial(EdgeWeights.random(2, np.random.default_rng(5))),
             "line": characteristic_polynomial(EdgeWeights.uniform(1)),
@@ -582,6 +602,20 @@ class TestHoles:
             gx, gy = gradient_ronkin(poly, x, y)
             assert abs(gx - i) < 1e-9 and abs(gy - j) < 1e-9
             assert ronkin(poly, x, y) - i * x - j * y == pytest.approx(value, abs=1e-9)
+
+    @pytest.mark.parametrize("model", ["rand3", "rand4"])
+    def test_facet_intercepts_build_no_raster(self, model, monkeypatch):
+        poly = TWO_TO_ONE_MODELS[model]()
+        holes = {hole.order: hole.intercept for hole in detect_holes(poly).holes}
+        assert holes
+
+        def no_raster(*args, **kwargs):
+            raise AssertionError("facet_intercepts built a raster")
+
+        monkeypatch.setattr(amoeba_mod, "rasterize_amoeba", no_raster)
+        table = facet_intercepts(poly)
+        assert {order: table[order] for order in holes} == holes
+        assert all(order in holes for order in table if 0 not in order and sum(order) < poly.d)
 
 
 TWO_TO_ONE_MODELS = {

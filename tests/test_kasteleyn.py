@@ -66,6 +66,17 @@ class TestBivariatePolynomial:
             poly.z_coefficients(w).ravel(), [1 + 2 * w + 3 * w**2, 4 + 5 * w, 6.0]
         )
 
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_rows_do_not_depend_on_batch_size(self, d):
+        # a one-row call gives, bit for bit, the same row of one stacked call
+        poly = characteristic_polynomial(EdgeWeights.random(d, np.random.default_rng(0)))
+        rng = np.random.default_rng(d)
+        values = np.exp(rng.uniform(-3.0, 3.0, 500) + 1j * rng.uniform(0.0, 2.0 * np.pi, 500))
+        for coefficients in (poly.w_coefficients, poly.z_coefficients):
+            stacked = coefficients(values)
+            for k in range(values.size):
+                assert coefficients(values[k:k + 1])[0].tobytes() == stacked[k].tobytes()
+
     def test_scaled(self):
         poly = BivariatePolynomial(1, [[2.0, 4.0], [6.0, 0.0]])
         assert_allclose(poly.scaled(0.5).coeffs, [[1.0, 2.0], [3.0, 0.0]])

@@ -194,7 +194,7 @@ def _ronkin_case():
     poly = characteristic_polynomial(EdgeWeights.random(4, np.random.default_rng(3)))
     x, y = 1.4928190579208884, -0.37727244853417097  # sample_interior(poly, 1, default_rng(0))
     # the integrand is even in phi: each crossing c in (0, pi) has its mirror 2 pi - c
-    half = _crossings(poly.w_coefficients, np.array([x]), np.array([[y]]))[0]
+    (half,), _ = _crossings(poly.w_coefficients, np.array([x]), np.array([[y]]))
     assert half.size >= 1
     kinks = np.concatenate([half, 2.0 * np.pi - half])
     return lambda phis: np.maximum(y, _w_logmods(poly, x, phis)).sum(axis=1), kinks
