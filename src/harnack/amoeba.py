@@ -12,11 +12,12 @@ real locus, so the branches are monotone and the end values decide.
 The Ronkin function is evaluated by a Jensen-type reduction to a
 one-dimensional integral over the half period [0, pi], split at the angles
 where a root modulus crosses exp(y). A sweep brackets those crossings and
-Illinois regula falsi on the crossing branch refines them, all brackets in
-lockstep; the Monge-Ampere stencil's nine values share one sweep per column
-and one quadrature. The gradient has exact piecewise-constant counting
-integrands over the same half period, which makes facet slopes of
-complement components come out at nearly machine precision. R's exact
+Illinois regula falsi (``numerics.illinois``) on the crossing branch
+refines them, all brackets in lockstep; the Monge-Ampere stencil's nine
+values share one sweep per column and one quadrature. The gradient has
+exact piecewise-constant counting integrands over the same half period,
+which makes facet slopes of complement components come out at nearly
+machine precision. R's exact
 Hessian, read at the same crossings, drives one Newton solve of
 grad R = (i, j) per interior lattice order, which finds the holes. The
 same crossings count the preimages of a point for the 2-to-1 check.
@@ -35,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kasteleyn import BivariatePolynomial, BoundaryPoints, boundary_points
-from .numerics import integrate_panels, polyroots_batch
+from .numerics import illinois, integrate_panels, polyroots_batch
 
 __all__ = [
     "AmoebaGrid",
@@ -157,30 +158,6 @@ def _w_logmods(poly: BivariatePolynomial, x: float, phis: np.ndarray) -> np.ndar
     return _root_logmods(poly.w_coefficients(np.exp(x + 1j * phis)))
 
 
-def _zoom(values, centers: np.ndarray, step: float, points: int, zooms: int):
-    """Refine local minima of a function of phi from samples at ``centers``.
-
-    ``values(grid)`` evaluates the function on a (len(centers), points)
-    array of angles, one row per center. Each center is zoomed ``zooms``
-    times: a ``points``-point grid over ``step`` either side, then over a
-    quarter of the previous span around its best point. All centers are
-    zoomed in lockstep, one call of ``values`` per round. Returns the value
-    at each last best point.
-    """
-    if centers.size == 0:
-        return centers
-    lo, hi = centers - step, centers + step
-    rows = np.arange(centers.size)
-    for _ in range(zooms):
-        grid = np.linspace(lo, hi, points, axis=1)
-        vals = values(grid)
-        k = np.argmin(vals, axis=1)
-        width = (hi - lo) / 8.0
-        best = grid[rows, k]
-        lo, hi = best - width, best + width
-    return vals[rows, k]
-
-
 _RANGE_TOL = 1e-9  # slack in log|w| before a sampled interior extremum widens a branch range
 
 
@@ -190,40 +167,48 @@ def _branch_ranges(poly: BivariatePolynomial, xs: np.ndarray):
     Returns (lo, hi, zoomed): the column at xs[i] is the union of the
     ranges [lo[i, k], hi[i, k]] of the sorted log-modulus branches m_k over
     phi in [0, pi] (P is real, so |w| is even in phi), and ``zoomed``
-    counts the extrema refined. One root batch solves w -> P(+-e^x, w) for
-    every column, and each column gets the 160-angle sweep folded onto
-    [0, pi]. A branch's range is the range of its two end values, widened
-    where a sampled interior local extremum passes it by more than
-    ``_RANGE_TOL``. The extrema of all columns are zoomed in lockstep, 17
-    points over one sample step either side and 8 rounds, and the range
-    takes the zoomed value. A zero root has log-modulus ``_NEG_INF``.
+    counts the extrema refined. Each column makes one root batch, over
+    z = e^x, the 160-angle sweep folded onto [0, pi], and z = -e^x. A
+    branch's range is the range of its two end values, widened where a
+    sampled interior local extremum passes it by more than ``_RANGE_TOL``.
+    The extrema of all columns are zoomed in lockstep, one root batch per
+    round: 17 points over one sample step either side, then over a quarter
+    of the previous span around the best point, 8 rounds, and the range
+    takes the last best value. A zero root has log-modulus ``_NEG_INF``.
     """
     xs = np.asarray(xs, dtype=float)
     ez = np.exp(xs)
-    ends = np.sort(_root_logmods(poly.w_coefficients(np.concatenate([ez, -ez]))), axis=1)
-    ends = ends.reshape(2, xs.size, -1)
-    lo, hi = ends.min(axis=0), ends.max(axis=0)
     phis = _half_sweep(160)
+    lo = np.empty((xs.size, poly.d))
+    hi = np.empty((xs.size, poly.d))
     # past[i, 0] marks the sampled interior minima below the end range of
     # column i, past[i, 1] the maxima above it, by sweep angle and branch
-    past = np.empty((xs.size, 2, phis.size, ends.shape[2]), dtype=bool)
+    past = np.empty((xs.size, 2, phis.size, poly.d), dtype=bool)
     for i, x in enumerate(xs.tolist()):
-        m = np.vstack([ends[0, i], np.sort(_w_logmods(poly, x, phis), axis=1), ends[1, i]])
+        z = np.concatenate([ez[i:i + 1], np.exp(x + 1j * phis), -ez[i:i + 1]])
+        m = np.sort(_root_logmods(poly.w_coefficients(z)), axis=1)
+        lo[i], hi[i] = np.minimum(m[0], m[-1]), np.maximum(m[0], m[-1])
         inner, before, after = m[1:-1], m[:-2], m[2:]
         past[i, 0] = (inner <= before) & (inner <= after) & (inner < lo[i] - _RANGE_TOL)
         past[i, 1] = (inner >= before) & (inner >= after) & (inner > hi[i] + _RANGE_TOL)
     col, side, j, k = np.nonzero(past)
-    sign = 1.0 - 2.0 * side  # a maximum of m_k is a minimum of -m_k
-
-    def values(grid):
-        z = np.exp(xs[col, None] + 1j * grid).reshape(-1)
-        logs = np.sort(_root_logmods(poly.w_coefficients(z)).reshape(col.size, grid.shape[1], -1), axis=2)
-        return sign[:, None] * logs[np.arange(col.size), :, k]
-
-    best = _zoom(values, phis[j], 2.0 * np.pi / phis.size, 17, 8)
-    low = sign > 0
-    np.minimum.at(lo, (col[low], k[low]), best[low])
-    np.maximum.at(hi, (col[~low], k[~low]), -best[~low])
+    if col.size:
+        sign = 1.0 - 2.0 * side  # a maximum of m_k is a minimum of -m_k
+        rows = np.arange(col.size)
+        step = 2.0 * np.pi / phis.size
+        a, b = phis[j] - step, phis[j] + step
+        for _ in range(8):
+            grid = np.linspace(a, b, 17, axis=1)
+            z = np.exp(xs[col, None] + 1j * grid).reshape(-1)
+            logs = np.sort(_root_logmods(poly.w_coefficients(z)).reshape(col.size, 17, -1), axis=2)
+            vals = sign[:, None] * logs[rows, :, k]
+            best = np.argmin(vals, axis=1)
+            width = (b - a) / 8.0
+            a, b = grid[rows, best] - width, grid[rows, best] + width
+        best = vals[rows, best]
+        low = sign > 0
+        np.minimum.at(lo, (col[low], k[low]), best[low])
+        np.maximum.at(hi, (col[~low], k[~low]), -best[~low])
     return lo, hi, int(col.size)
 
 
@@ -248,13 +233,9 @@ def _crossings(coefficients, cols, levels) -> tuple[list[np.ndarray], list[np.nd
 
     Where the count changes between two sweep angles, the sorted branch with
     index min(count at lo, count at hi) crosses the level, so that branch
-    minus the level changes sign across the bracket. Illinois regula falsi
-    (regula falsi that halves the value kept at an end that stayed put twice
-    running) refines all brackets in lockstep, one root batch per round,
-    and bisects where the interpolant leaves the bracket. A bracket stops at
-    width 1e-14 or |branch - level| < 1e-15, or after 60 rounds, and gives
-    the end with the smaller |branch - level|. Brackets stop on their own,
-    so each result is the same however many columns and levels share a call.
+    minus the level changes sign across the bracket. ``numerics.illinois``
+    refines all brackets in lockstep, one root batch per round, so each
+    result is the same however many columns and levels share a call.
     Also returns the root counts below the level on the segments between
     crossings, read off the sweep: the count at angle 0 (after the real-end
     rule), then the count at the first angle after each bracket.
@@ -271,28 +252,13 @@ def _crossings(coefficients, cols, levels) -> tuple[list[np.ndarray], list[np.nd
     col, lev, j = np.nonzero(np.diff(counts, axis=2))
     branch = np.minimum(counts[col, lev, j], counts[col, lev, j + 1])
     level = levels[col, lev]
-    lo, hi = phis[j], phis[j + 1]
-    f_lo, f_hi = logs[col, 0, j, branch] - level, logs[col, 0, j + 1, branch] - level
-    # interpolation values: the true ones, but halved at an end that stayed put twice running
-    g_lo, g_hi = f_lo.copy(), f_hi.copy()
-    moved = np.zeros(lo.size)  # -1 where lo moved last, +1 where hi did
-    for _ in range(60):
-        todo = np.flatnonzero((hi - lo >= 1e-14) & (np.minimum(np.abs(f_lo), np.abs(f_hi)) >= 1e-15))
-        if todo.size == 0:
-            break
-        a, b = lo[todo], hi[todo]
-        t = (a * g_hi[todo] - b * g_lo[todo]) / (g_hi[todo] - g_lo[todo])
-        t = np.where((a < t) & (t < b), t, 0.5 * (a + b))
+
+    def branch_minus_level(t, todo):
         at = np.sort(_root_logmods(coefficients(np.exp(cols[col[todo]] + 1j * t))), axis=1)
-        f = at[np.arange(todo.size), branch[todo]] - level[todo]
-        left = (f < 0) == (f_lo[todo] < 0)
-        up, down = todo[left], todo[~left]
-        lo[up], f_lo[up], g_lo[up] = t[left], f[left], f[left]
-        g_hi[up] *= np.where(moved[up] < 0, 0.5, 1.0)
-        hi[down], f_hi[down], g_hi[down] = t[~left], f[~left], f[~left]
-        g_lo[down] *= np.where(moved[down] > 0, 0.5, 1.0)
-        moved[up], moved[down] = -1.0, 1.0
-    best = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
+        return at[np.arange(todo.size), branch[todo]] - level[todo]
+
+    best = illinois(branch_minus_level, phis[j], phis[j + 1],
+                    logs[col, 0, j, branch] - level, logs[col, 0, j + 1, branch] - level)
     split = np.cumsum(np.bincount(col * levels.shape[1] + lev, minlength=levels.size))[:-1]
     after = np.split(counts[col, lev, j + 1], split)
     return np.split(best, split), [np.append(first, rest) for first, rest in zip(counts[:, :, 0].flat, after)]
@@ -1094,9 +1060,12 @@ def verify_harnack(
     """Certificate that P is (numerically) the polynomial of a Harnack curve.
 
     Checks: real constant-sign boundary points, amoeba area pi^2 d^2 / 2 to
-    relative 0.02, 2-to-1 covering at 10 random interior points, and compact
-    ovals at most Harnack's bound (d-1)(d-2)/2 and as many as the holes.
-    A failed boundary or area check returns at once, without the later checks.
+    relative 0.02, 2-to-1 covering at 10 interior points of
+    ``sample_interior`` (seeded by ``seed``), and compact ovals at most
+    Harnack's bound (d-1)(d-2)/2 and as many as the holes, which come from
+    the per-order Newton solves of ``detect_holes`` without its pixel
+    counts. A failed boundary or area check returns at once, without the
+    later checks.
     """
     checks: dict[str, bool] = {}
     details: dict[str, object] = {}
@@ -1127,23 +1096,12 @@ def verify_harnack(
     if not checks["area"]:
         return HarnackCertificate(checks=checks, details=details)
 
-    report = detect_holes(poly, grid=grid)
-    details["genus"] = report.genus
-    details["candidate_nodes"] = len(report.candidate_nodes)
+    holes, nodes = _order_gaps(poly)
+    details["genus"] = len(holes)
+    details["candidate_nodes"] = len(nodes)
 
-    rng = np.random.default_rng(seed)
-    # stay away from the frame and from holes: erode twice
-    cand = np.argwhere(_interior(_interior(grid.membership)))
-    ok = True
-    values = []
-    for _ in range(10):
-        iy, ix = cand[rng.integers(len(cand))]
-        x = grid.x_centers()[ix]
-        y = grid.y_centers()[iy]
-        n = two_to_one_check(poly, float(x), float(y))
-        values.append(n)
-        ok &= n == 2
-    checks["two_to_one"] = ok
+    values = [two_to_one_check(poly, x, y) for x, y in sample_interior(poly, 10, np.random.default_rng(seed))]
+    checks["two_to_one"] = all(n == 2 for n in values)
     details["two_to_one_counts"] = values
 
     ovals = trace_real_ovals(poly)
@@ -1151,5 +1109,5 @@ def verify_harnack(
     details["compact_ovals"] = compact
     # Harnack's bound: a curve with this Newton triangle has at most (d-1)(d-2)/2 compact ovals
     checks["genus_bound"] = compact <= (d - 1) * (d - 2) // 2
-    checks["ovals_match_holes"] = compact == report.genus
+    checks["ovals_match_holes"] = compact == len(holes)
     return HarnackCertificate(checks=checks, details=details)

@@ -97,10 +97,7 @@ def _parse_window(raw: str):
     parts = raw.split(",")
     if len(parts) != 4:
         raise ValueError("window must be 'auto' or x0,x1,y0,y1")
-    x0, x1, y0, y1 = (float(p) for p in parts)
-    if x1 <= x0 or y1 <= y0:
-        raise ValueError("window must have positive extent")
-    return (x0, x1, y0, y1)
+    return tuple(float(p) for p in parts)
 
 
 def _parse_point(raw: str) -> tuple[float, float]:
@@ -245,10 +242,7 @@ def _cmd_divisor(args) -> int:
     parts = args.vertex.split(",")
     if len(parts) != 2:
         raise ValueError("vertex must be i,j")
-    i, j = int(parts[0]), int(parts[1])
-    if not (0 <= i < weights.d and 0 <= j < weights.d):
-        raise ValueError(f"vertex ({i},{j}) outside the {weights.d}x{weights.d} fundamental domain")
-    points = vertex_divisor(weights, (i, j))
+    points = vertex_divisor(weights, (int(parts[0]), int(parts[1])))
     _output(hio.dumps_json(hio.divisor_to_json(points)), None)
     return 0
 

@@ -19,6 +19,7 @@ import numpy as np
 from .amoeba import RealOval, _newton_to_curve, trace_real_ovals
 from .kasteleyn import assemble_K, characteristic_polynomial
 from .lattice import EdgeWeights
+from .numerics import illinois
 
 __all__ = [
     "DivisorPoint",
@@ -103,41 +104,36 @@ def sign_change_count(values: np.ndarray) -> int:
     return int(np.sum(values * nxt < 0.0))
 
 
-def _refine_zero(weights, poly, quadrant, p0, p1, u0, idx) -> tuple[float, float]:
-    """Bisect the oval segment [p0, p1] for the component-idx zero, keeping
-    every probe on the curve via log-coordinate Newton projection; at most 60
-    halvings. A probe that does not project raises RuntimeError."""
+def _refine_zero(weights, poly, quadrant, p0, p1, u0, idx, end_value) -> tuple[float, float]:
+    """The component-idx zero on the oval segment [p0, p1], refined by ``numerics.illinois``.
+
+    The bracket is t in [0, 1]: the point at t is the log-linear point
+    between p0 and p1, projected onto the curve by ``_newton_to_curve``, and
+    f(t) is the idx component of its null vector, sign-aligned with u0, the
+    chained vector at p0. f(0) is u0[idx] and f(1) is ``end_value``, of the
+    opposite sign. f is divided by |f(1) - f(0)|, so that its slope over the
+    bracket is of order one, as the kernel's absolute |f| < 1e-15 stop
+    assumes: a component that changes by 1e-5 along a segment would
+    otherwise stop 1e-10 of the segment from its zero. A point that does
+    not project raises RuntimeError.
+    """
     sz, sw = quadrant
-    lo = np.array([math.log(abs(p0[0])), math.log(abs(p0[1]))])
-    hi = np.array([math.log(abs(p1[0])), math.log(abs(p1[1]))])
-    ref = u0.copy()
-    v_lo = ref[idx]
-    for _ in range(60):
-        proj = _project_midpoint(poly, quadrant, lo, hi)
-        z = sz * math.exp(proj[0])
-        w = sw * math.exp(proj[1])
-        vec = left_null_vector(weights, z, w)
-        if float(ref @ vec) < 0.0:
-            vec = -vec
-        ref = vec
-        if vec[idx] * v_lo < 0.0:
-            hi = np.array(proj)
-        else:
-            lo = np.array(proj)
-            v_lo = vec[idx]
-        if np.max(np.abs(hi - lo)) < 1e-12:
-            break
-    proj = _project_midpoint(poly, quadrant, lo, hi)
-    return sz * math.exp(proj[0]), sw * math.exp(proj[1])
+    start = np.array([math.log(abs(p0[0])), math.log(abs(p0[1]))])
+    stop = np.array([math.log(abs(p1[0])), math.log(abs(p1[1]))])
+    gap = abs(end_value - u0[idx])
 
+    def point(t):
+        proj = _newton_to_curve(poly, quadrant, (1.0 - t) * start + t * stop)
+        if proj is None:
+            raise RuntimeError(f"no convergence: projection of the divisor bracket point t = {t!r} onto the curve")
+        return sz * math.exp(proj[0]), sw * math.exp(proj[1])
 
-def _project_midpoint(poly, quadrant, lo, hi) -> tuple[float, float]:
-    """The curve point that ``_newton_to_curve`` projects the log midpoint of lo and hi to."""
-    mid = 0.5 * (lo + hi)
-    proj = _newton_to_curve(poly, quadrant, mid)
-    if proj is None:
-        raise RuntimeError(f"no convergence: projection of the divisor bisection point {mid.tolist()} onto the curve")
-    return proj
+    def component(t, todo):
+        vec = left_null_vector(weights, *point(float(t[0])))
+        return [(vec[idx] if float(u0 @ vec) >= 0.0 else -vec[idx]) / gap]
+
+    (t,) = illinois(component, [0.0], [1.0], [u0[idx] / gap], [end_value / gap])
+    return point(float(t))
 
 
 def vertex_divisor(weights: EdgeWeights, vertex: tuple[int, int],
@@ -150,7 +146,7 @@ def vertex_divisor(weights: EdgeWeights, vertex: tuple[int, int],
     d = weights.d
     i, j = vertex
     if not (0 <= i < d and 0 <= j < d):
-        raise ValueError(f"vertex {vertex} outside the {d} x {d} domain")
+        raise ValueError(f"vertex ({i},{j}) outside the {d}x{d} fundamental domain")
     expected = (d - 1) * (d - 2) // 2
     poly = characteristic_polynomial(weights)
     if ovals is None:
@@ -179,9 +175,8 @@ def vertex_divisor(weights: EdgeWeights, vertex: tuple[int, int],
                 end_value = comp[k1]
             if comp[k] * end_value >= 0.0:
                 continue
-            z0, w0 = _refine_zero(weights, poly, oval.quadrant,
-                                  oval.points[k], oval.points[k1],
-                                  chain[k], idx)
+            z0, w0 = _refine_zero(weights, poly, oval.quadrant, oval.points[k], oval.points[k1],
+                                  chain[k], idx, end_value)
             points.append(DivisorPoint((i, j), oval_id, z0, w0))
             zeros_here += 1
         per_oval.append((oval_id, n, zeros_here))

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import amoeba
 from .kasteleyn import BivariatePolynomial, characteristic_polynomial
 from .lattice import EdgeWeights
 
@@ -595,11 +596,9 @@ def isoradial_spectral_check(angles: IsoradialAngles) -> IsoradialReport:
     curve of the isoradial weights (after the degree-parity sign flip), to a
     relative residual of 1e-8 at 100 samples, and that the amoeba contains
     the origin."""
-    from .amoeba import amoeba_membership
-
     poly = characteristic_polynomial(isoradial_weights(angles))
     residual = _circle_residual(poly, angles.as_curve(), (-1.0) ** angles.d)
-    origin = amoeba_membership(poly, 0.0, 0.0)
+    origin = amoeba.amoeba_membership(poly, 0.0, 0.0)
     return IsoradialReport(residual=residual, on_curve=residual < 1e-8,
                            origin_in_amoeba=origin)
 
@@ -622,10 +621,8 @@ def find_isoradial_shift(curve: Genus0Curve):
     exactly (Re D, -Im D), and likewise for w.  Raises RuntimeError
     ("no convergence: ...") when the solve stops short although the origin
     is in the amoeba."""
-    from .amoeba import amoeba_membership
-
     poly = implicitize(curve)
-    if not amoeba_membership(poly, 0.0, 0.0):
+    if not amoeba.amoeba_membership(poly, 0.0, 0.0):
         return None
     zeros = np.exp(1j * np.stack([curve.alpha, curve.gamma]))
     poles = np.exp(1j * curve.beta)

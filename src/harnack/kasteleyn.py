@@ -125,8 +125,9 @@ class ZigZagComparison:
     per_orientation: dict[str, np.ndarray]
     ordering: dict[str, list[int]]
 
-    def passed(self, tol: float = 1e-8) -> bool:
-        return self.max_rel_error < tol
+    def passed(self) -> bool:
+        """Every discrepancy below 1e-8, the tolerance of criterion c02."""
+        return self.max_rel_error < 1e-8
 
 
 _EPS = float(np.finfo(float).eps)

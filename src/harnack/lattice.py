@@ -69,8 +69,8 @@ class EdgeWeights:
         object.__setattr__(self, "c", _as_weight_array(c, d, "c"))
 
     @classmethod
-    def uniform(cls, d: int, value: float = 1.0) -> "EdgeWeights":
-        block = np.full((d, d), float(value))
+    def uniform(cls, d: int) -> "EdgeWeights":
+        block = np.ones((d, d))
         return cls(d, block, block, block)
 
     @classmethod

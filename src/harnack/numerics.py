@@ -10,7 +10,10 @@ rounds and hands the integrand at most ``MAX_PANELS_PER_CALL`` = 64 panels
 (3,072 nodes) per call, which bounds the size of one root batch; each
 integral comes out to the same bits as when run alone.
 ``integrate_periodic_kinked`` is its one-integral case for periodic
-integrands with known kink locations.
+integrands with known kink locations. ``illinois`` is the one
+bracket refiner: Illinois regula falsi on many sign-change brackets in
+lockstep, each stopping on its own, which the Ronkin crossings and the
+divisor zeros both call.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "integrate_panels",
     "polyroots_batch",
     "horner",
+    "illinois",
 ]
 
 
@@ -355,6 +359,41 @@ def integrate_panels(f, edges, tol: float) -> list[QuadratureResult]:
         total += np.bincount(owner, weights=panel_values(lo, hi, owner)[0], minlength=m)
         converged[owner] = False
     return [QuadratureResult(float(total[k]), int(n[k]), bool(converged[k])) for k in range(m)]
+
+
+def illinois(f, lo, hi, f_lo, f_hi) -> np.ndarray:
+    """Refine many sign-change brackets [lo[k], hi[k]] of f in lockstep.
+
+    f_lo and f_hi hold the values at the ends, of opposite signs. Each round
+    calls ``f(t, todo)`` once, with one trial point per open bracket and the
+    bracket indices ``todo``, and it returns the values there. The trial
+    point is Illinois regula falsi: the secant root, with the value kept at
+    an end that stayed put twice running halved, or the midpoint where that
+    root leaves the bracket. A bracket stops at width 1e-14 or
+    |f| < 1e-15 at an end, or after 60 rounds, and gives the end with the
+    smaller |f|. Brackets stop on their own, so each result is the same to
+    the bit however many brackets share a call.
+    """
+    lo, hi, f_lo, f_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
+    # interpolation values: the true ones, but halved at an end that stayed put twice running
+    g_lo, g_hi = f_lo.copy(), f_hi.copy()
+    moved = np.zeros(lo.size)  # -1 where lo moved last, +1 where hi did
+    for _ in range(60):
+        todo = np.flatnonzero((hi - lo >= 1e-14) & (np.minimum(np.abs(f_lo), np.abs(f_hi)) >= 1e-15))
+        if todo.size == 0:
+            break
+        a, b = lo[todo], hi[todo]
+        t = (a * g_hi[todo] - b * g_lo[todo]) / (g_hi[todo] - g_lo[todo])
+        t = np.where((a < t) & (t < b), t, 0.5 * (a + b))
+        f_t = np.asarray(f(t, todo), dtype=float)
+        left = (f_t < 0) == (f_lo[todo] < 0)
+        up, down = todo[left], todo[~left]
+        lo[up], f_lo[up], g_lo[up] = t[left], f_t[left], f_t[left]
+        g_hi[up] *= np.where(moved[up] < 0, 0.5, 1.0)
+        hi[down], f_hi[down], g_hi[down] = t[~left], f_t[~left], f_t[~left]
+        g_lo[down] *= np.where(moved[down] > 0, 0.5, 1.0)
+        moved[up], moved[down] = -1.0, 1.0
+    return np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
 
 
 def polyroots_batch(coeff_rows: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from harnack import EdgeWeights, characteristic_polynomial, sample_interior
+from harnack import amoeba as amoeba_mod
+from harnack.numerics import polyroots_batch
 
 CRITERIA = {
     "c01": "uniform weights factor into cube-root lines",
@@ -78,3 +80,16 @@ def interior_sampler():
         return sample_interior(poly, count, np.random.default_rng(seed), margin=margin)
 
     return sample
+
+
+@pytest.fixture
+def root_batches(monkeypatch):
+    """A list that gains one entry, the row count, per ``polyroots_batch`` call made by ``harnack.amoeba``."""
+    batches = []
+
+    def counted(rows):
+        batches.append(len(rows))
+        return polyroots_batch(rows)
+
+    monkeypatch.setattr(amoeba_mod, "polyroots_batch", counted)
+    return batches

@@ -88,7 +88,7 @@ def test_c02_boundary_vs_zigzag_random():
         weights = EdgeWeights.random(d, rng)
         comparison = verify_boundary_vs_zigzag(weights)
         worst = max(worst, comparison.max_rel_error)
-        assert comparison.passed(1e-8)
+        assert comparison.passed()
     assert worst < 1e-8
 
 

@@ -115,6 +115,15 @@ class TestMembership:
         assert verdicts.tolist() == [amoeba_membership(poly, x, y) for x, y in points]
         assert 100 < int(verdicts.sum()) < len(points) - 100
 
+    def test_one_root_batch_per_column(self, root_batches):
+        # the real ends share the sweep's batch: 2 per point and nx + 1 per raster before
+        poly = characteristic_polynomial(EdgeWeights.random(3, np.random.default_rng(2026)))
+        amoeba_membership(poly, 0.1, 0.2)
+        assert len(root_batches) == 1
+        root_batches.clear()
+        assert rasterize_amoeba(poly, nx=48, ny=32).refined == 0
+        assert len(root_batches) == 48
+
     @pytest.mark.parametrize("ring", [0.0, 0.03])
     def test_sample_interior_keeps_its_draws(self, ring):
         # the points of one draw are tested together, and the same draws pass
@@ -462,36 +471,32 @@ class TestMongeAmpere:
             assert abs(np.linalg.det(hess) * math.pi ** 2 - 1.0) < 1e-12
 
     @pytest.mark.parametrize("d, seed", [(3, 19), (4, 3)], ids=["rand3", "rand4"])
-    def test_root_batches_per_query(self, d, seed, monkeypatch):
+    def test_root_batches_per_query(self, d, seed, root_batches):
         # crossings by Illinois and one batch per stencil: the 50-round
         # bisection and nine single-point calls took 85 and 402 batches
         poly = characteristic_polynomial(EdgeWeights.random(d, np.random.default_rng(seed)))
         points = sample_interior(poly, 5, np.random.default_rng(5), margin=0.25)
-        batches = []
-        monkeypatch.setattr(amoeba_mod, "polyroots_batch", lambda rows: batches.append(1) or polyroots_batch(rows))
         for x, y in points:
-            batches.clear()
+            root_batches.clear()
             gradient_ronkin(poly, x, y)
-            assert len(batches) <= 20
-            batches.clear()
+            assert len(root_batches) <= 20
+            root_batches.clear()
             monge_ampere_residual(poly, x, y)
-            assert len(batches) <= 80
+            assert len(root_batches) <= 80
 
     @pytest.mark.parametrize("d, seed", [(3, 19), (4, 3)], ids=["rand3", "rand4"])
-    def test_gradient_solves_no_roots_of_its_own(self, d, seed, monkeypatch):
+    def test_gradient_solves_no_roots_of_its_own(self, d, seed, root_batches):
         # the segment counts come from the sweep of the two crossing calls
         poly = characteristic_polynomial(EdgeWeights.random(d, np.random.default_rng(seed)))
         points = sample_interior(poly, 20, np.random.default_rng(5), margin=0.25)
-        batches = []
-        monkeypatch.setattr(amoeba_mod, "polyroots_batch", lambda rows: batches.append(1) or polyroots_batch(rows))
         for x, y in points:
-            batches.clear()
+            root_batches.clear()
             amoeba_mod._crossings(poly.z_coefficients, np.array([y]), np.array([[x]]))
             amoeba_mod._crossings(poly.w_coefficients, np.array([x]), np.array([[y]]))
-            crossing_batches = len(batches)
-            batches.clear()
+            crossing_batches = len(root_batches)
+            root_batches.clear()
             gradient_ronkin(poly, x, y)
-            assert len(batches) == crossing_batches
+            assert len(root_batches) == crossing_batches
 
     @pytest.mark.parametrize("kind", ["line", "rand3", "rand4", "p2"])
     def test_stencil_values_equal_point_values(self, kind, interior_sampler):

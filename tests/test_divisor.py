@@ -17,6 +17,7 @@ from harnack import (
     trace_real_ovals,
     vertex_divisor,
 )
+from harnack import divisor as divisor_mod
 from harnack.divisor import sign_change_count
 from harnack.kasteleyn import assemble_K, characteristic_polynomial
 from harnack.numerics import roots
@@ -116,11 +117,26 @@ class TestVertexDivisor:
         for point in vertex_divisor(weights, (1, 1), ovals=ovals):
             assert abs(poly(point.z, point.w)) < 1e-7 * scale
 
-    def test_unprojected_bisection_point_raises(self, traced_model, monkeypatch):
+    def test_unprojected_bracket_point_raises(self, traced_model, monkeypatch):
         weights, poly, ovals = traced_model
         monkeypatch.setattr("harnack.divisor._newton_to_curve", lambda poly, signs, point: None)
         with pytest.raises(RuntimeError, match="^no convergence: projection"):
             vertex_divisor(weights, (0, 0), ovals=ovals)
+
+    @pytest.mark.parametrize("d, seed", [(3, 2026), (4, 1), (5, 5000)], ids=["rand3", "rand4", "rand-5"])
+    def test_null_vectors_per_divisor_point(self, d, seed, monkeypatch):
+        # Illinois on the segment parameter; the 60-halving bisection took 37 per point
+        weights = EdgeWeights.random(d, np.random.default_rng(seed))
+        ovals = trace_real_ovals(characteristic_polynomial(weights))
+        vertex_divisor(weights, (0, 0), ovals=ovals)  # fills the chain memo
+        calls = []
+        monkeypatch.setattr(divisor_mod, "left_null_vector",
+                            lambda *args: calls.append(1) or left_null_vector(*args))
+        for vertex in [(i, j) for i in range(d) for j in range(d)]:
+            calls.clear()
+            points = vertex_divisor(weights, vertex, ovals=ovals)
+            assert len(points) == (d - 1) * (d - 2) // 2
+            assert len(calls) <= 16 * len(points)
 
     def test_gauge_leaves_divisors_in_place(self, traced_model):
         # gauge scales the null-vector components individually, so each

@@ -27,9 +27,9 @@ def random_gauge(d, rng):
 
 class TestEdgeWeights:
     def test_uniform(self):
-        w = EdgeWeights.uniform(3, 2.0)
+        w = EdgeWeights.uniform(3)
         assert w.d == 3
-        assert np.all(w.a == 2.0) and np.all(w.b == 2.0) and np.all(w.c == 2.0)
+        assert np.all(w.a == 1.0) and np.all(w.b == 1.0) and np.all(w.c == 1.0)
 
     def test_random_bounds(self):
         w = EdgeWeights.random(4, np.random.default_rng(0))

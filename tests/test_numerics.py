@@ -17,6 +17,7 @@ from harnack.numerics import (
     QuadratureResult,
     _gl_nodes,
     det_complex,
+    illinois,
     integrate_panels,
     integrate_periodic_kinked,
     polyroots_batch,
@@ -253,6 +254,31 @@ class TestBatchedQuadrature:
             alone = integrate_panels(lambda t, owner: f(t, np.full(t.size, k)), [edges[k]], 1e-11)[0]
             assert _same_bits(got, alone)
         assert [q.converged for q in batch] == [k != 7 for k in range(40)]
+
+
+class TestIllinois:
+    def test_finds_half_pi_from_cos(self):
+        (t,) = illinois(lambda t, todo: np.cos(t), [1.0], [2.0], [math.cos(1.0)], [math.cos(2.0)])
+        assert abs(t - math.pi / 2) < 1e-14
+
+    def test_lockstep_equals_each_bracket_alone(self):
+        # brackets of different functions, widths and slopes stop on their own
+        shifts = np.array([0.3, 1.1, -0.7, 2.5, 0.0])
+        scales = np.array([1.0, 1e-5, 30.0, 0.2, 1.0])
+        lo = np.array([0.0, 0.5, -2.0, 2.0, -1.0])
+        hi = np.array([1.0, 1.5, 0.0, 3.0, 1.0])
+
+        def f(t, todo):
+            return scales[todo] * np.sinh(t - shifts[todo]) ** 3 + (t - shifts[todo]) * 1e-3
+
+        def at(t, k):
+            return f(np.array([t]), np.array([k]))[0]
+
+        together = illinois(f, lo, hi, [at(a, k) for k, a in enumerate(lo)], [at(b, k) for k, b in enumerate(hi)])
+        for k in range(lo.size):
+            (alone,) = illinois(lambda t, todo: f(t, todo + k), [lo[k]], [hi[k]], [at(lo[k], k)], [at(hi[k], k)])
+            assert together[k].tobytes() == alone.tobytes()
+            assert abs(together[k] - shifts[k]) < 1e-9
 
 
 class TestPolyrootsBatch:
