@@ -8,7 +8,11 @@ both read those ranges, the points of one query in one call over their
 distinct columns: the end values come from the real roots at z = +-exp(x),
 widened where a sampled interior extremum of a branch passes them. On a
 Harnack curve the amoeba map is at most 2-to-1 and critical only on the
-real locus, so the branches are monotone and the end values decide.
+real locus, so the branches are monotone and the end values decide. The
+exact area (``amoeba_area``) integrates the lengths of the lines that
+those end values alone cover: pi^2 d^2 / 2 on a Harnack curve
+(Mikhalkin-Rullgard), a lower bound elsewhere, and the certificate's
+area check.
 The Ronkin function is evaluated by a Jensen-type reduction to a
 one-dimensional integral over the half period [0, pi], split at the angles
 where a root modulus crosses exp(y). A sweep brackets those crossings and
@@ -36,11 +40,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kasteleyn import BivariatePolynomial, BoundaryPoints, boundary_points
-from .numerics import illinois, integrate_panels, polyroots_batch
+from .numerics import horner, illinois, integrate_panels, polyroots_batch
 
 __all__ = [
     "AmoebaGrid",
-    "AreaEstimate",
     "Hole",
     "HoleReport",
     "RealOval",
@@ -89,16 +92,6 @@ class AmoebaGrid:
     def y_centers(self) -> np.ndarray:
         _, _, y0, y1 = self.window
         return y0 + (np.arange(self.ny) + 0.5) * (y1 - y0) / self.ny
-
-
-@dataclass(frozen=True)
-class AreaEstimate:
-    value: float
-    error_bar: float
-    frame_warning: bool
-
-    def __float__(self) -> float:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -373,24 +366,97 @@ def rasterize_amoeba(
     return AmoebaGrid(window=window, nx=nx, ny=ny, membership=member, frame_ok=frame_ok, refined=refined)
 
 
-def _interior(mask: np.ndarray) -> np.ndarray:
-    """Pixels of mask whose four neighbours are all in mask; frame pixels never are."""
-    out = np.zeros_like(mask)
-    out[1:-1, 1:-1] = (
-        mask[1:-1, 1:-1] & mask[:-2, 1:-1] & mask[2:, 1:-1] & mask[1:-1, :-2] & mask[1:-1, 2:]
-    )
-    return out
+def _row_lengths(poly: BivariatePolynomial, side: np.ndarray, vs: np.ndarray, cut: float) -> np.ndarray:
+    """Length left of ``cut`` of the real-end part of each amoeba row y = vs[i].
+
+    The z-roots of P(z, w) at w = e^v and w = -e^v, sorted by log-modulus,
+    give each branch its two end values, and the part is the union of the
+    ranges between them. It lies in the amoeba row, because each sorted
+    branch is continuous over [0, pi], and it is the whole row on a Harnack
+    curve, where the branches are monotone. The constant coefficient P(0, w)
+    is taken as p_{0,d} prod (w - r) over its roots r, ``side``, and every
+    root gets two Newton steps, so a root that a multiple boundary root
+    pulls towards 0 keeps its relative accuracy.
+    """
+    d = poly.d
+    w = np.concatenate([np.exp(vs), -np.exp(vs)])
+    rows = poly.z_coefficients(w)
+    rows[:, 0] = poly.coeffs[0, d] * np.prod(w[:, None] - side, axis=1)
+    drows = rows[:, 1:] * np.arange(1, d + 1)
+    z = polyroots_batch(rows)
+    for _ in range(2):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = horner(rows.T[:, :, None], z) / horner(drows.T[:, :, None], z)
+        z = z - np.where(np.isfinite(step), step, 0.0)
+    m = np.sort(np.log(np.abs(z)), axis=1).reshape(2, vs.size, d)
+    lo, hi = np.minimum(m.min(axis=0), cut), np.minimum(m.max(axis=0), cut)
+    # both ends rise with the branch, so a range adds only what lies above the hi below it
+    below = np.concatenate([np.full((vs.size, 1), -np.inf), hi[:, :-1]], axis=1)
+    return np.maximum(hi - np.maximum(lo, below), 0.0).sum(axis=1)
 
 
-def amoeba_area(grid: AmoebaGrid) -> AreaEstimate:
-    """Pixel-count area with a boundary-pixel error bar."""
-    px, py = grid.pixel_size
-    m = grid.membership
-    inside = int(m.sum())
-    # boundary pixels: members with a non-member 4-neighbour or on the frame
-    boundary = m & ~_interior(m)
-    err = float(boundary.sum()) * px * py * 0.5
-    return AreaEstimate(value=inside * px * py, error_bar=err, frame_warning=not grid.frame_ok)
+def amoeba_area(poly: BivariatePolynomial) -> float:
+    """Exact area of the real-end part of the amoeba (``_row_lengths``).
+
+    That part is the whole amoeba of a Harnack curve, of area pi^2 d^2 / 2
+    (Mikhalkin-Rullgard), and a subset elsewhere, so the value is a lower
+    bound. Fubini splits the plane, with no tail, at x0 and x1, one unit
+    outside the south tentacles: the columns over [x0, x1] as the rows of
+    P(w, z), the rows of P left of x0 (the west tentacles), and the rows
+    left of -x1 of the image q_{d-i-j, j} = p_{ij} of P under
+    (z, w) -> (1/z, w/z), which swaps the west and north-east sides and
+    keeps areas. A row piece's y-range starts 2 beyond its side's root logs
+    and widens by 2 until both end rows are empty left of the cut. Each
+    piece is split at its side's root logs, where the line length is
+    log-singular, each part [a, b] is mapped by v = a + (b - a)(1 - cos t)/2,
+    and all parts share one ``integrate_panels`` call at 1e-10. Raises
+    RuntimeError ("no convergence") when a part does not converge or a row
+    range does not close.
+    """
+    d = poly.d
+    c = poly.coeffs
+    bp = boundary_points(poly)
+    south = np.log(np.abs(bp.on_w0))
+    x0, x1 = float(south.min()) - 1.0, float(south.max()) + 1.0
+    i, j = np.nonzero(np.add.outer(np.arange(d + 1), np.arange(d + 1)) <= d)
+    image = np.zeros_like(c)
+    image[d - i - j, j] = c[i, j]
+    # (polynomial, the roots of its constant coefficient in w, the cut)
+    pieces = [(BivariatePolynomial(d, c.T), bp.on_w0, math.inf),
+              (poly, bp.on_z0, x0),
+              (BivariatePolynomial(d, image), 1.0 / bp.at_inf, -x1)]
+    parts = []
+    for k, (piece, side, cut) in enumerate(pieces):
+        logs = np.log(np.abs(side))
+        if k == 0:
+            a, b = x0, x1
+        else:
+            a, b = float(logs.min()) - 2.0, float(logs.max()) + 2.0
+            for _ in range(40):
+                ends = _row_lengths(piece, side, np.array([a, b]), cut)
+                if not ends.any():
+                    break
+                a, b = a - 2.0 * (ends[0] > 0), b + 2.0 * (ends[1] > 0)
+            else:
+                raise RuntimeError(f"no convergence: amoeba area rows left of {cut} do not close")
+        edges = np.unique(np.concatenate([[a], logs, [b]]))
+        parts += [(k, lo, hi) for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist())]
+    which, a, b = (np.array(v) for v in zip(*parts))
+
+    def integrand(t, owner):
+        v = a[owner] + (b[owner] - a[owner]) * 0.5 * (1.0 - np.cos(t))
+        out = 0.5 * (b[owner] - a[owner]) * np.sin(t)
+        for k, (piece, side, cut) in enumerate(pieces):
+            at = which[owner] == k
+            if at.any():
+                out[at] *= _row_lengths(piece, side, v[at], cut)
+        return out
+
+    results = integrate_panels(integrand, [np.array([0.0, math.pi])] * len(parts), 1e-10)
+    for (k, lo, hi), q in zip(parts, results):
+        if not q.converged:
+            raise RuntimeError(f"no convergence: amoeba area over [{lo}, {hi}] of piece {k} after {q.n} evaluations")
+    return math.fsum(q.value for q in results)
 
 
 def ronkin(poly: BivariatePolynomial, x: float, y: float) -> float:
@@ -1030,42 +1096,17 @@ class HarnackCertificate:
         return all(self.checks.values())
 
 
-def _area_window_pad(bp: BoundaryPoints) -> tuple[float, int]:
-    """Frame padding that keeps clipped tentacle tails negligible.
-
-    An m-fold boundary root feeds a tentacle of width exp(-t/m), so the pad
-    is 6 times the largest root cluster. Two distinct same-family roots at
-    log separation g < 1 merge into a composite of width exp(-t/2) until
-    depth ~ log(1/g); the pad is extended so the frame sits past the split.
-    """
-    mult = 1
-    penalty = 0.0
-    for logs in _tentacle_logs(bp):
-        for v in logs:
-            gaps = np.abs(logs - v)
-            mult = max(mult, int(np.sum(gaps <= 1e-3)))
-            apart = gaps[gaps > 1e-3]
-            if apart.size:
-                g = float(apart.min())
-                if g < 1.0:
-                    penalty = max(penalty, 2.0 * math.log(1.0 / g))
-    return 6.0 * mult + penalty, mult
-
-
-def verify_harnack(
-    poly: BivariatePolynomial,
-    resolution: int = 420,
-    seed: int = 0,
-) -> HarnackCertificate:
+def verify_harnack(poly: BivariatePolynomial, seed: int = 0) -> HarnackCertificate:
     """Certificate that P is (numerically) the polynomial of a Harnack curve.
 
-    Checks: real constant-sign boundary points, amoeba area pi^2 d^2 / 2 to
-    relative 0.02, 2-to-1 covering at 10 interior points of
-    ``sample_interior`` (seeded by ``seed``), and compact ovals at most
-    Harnack's bound (d-1)(d-2)/2 and as many as the holes, which come from
-    the per-order Newton solves of ``detect_holes`` without its pixel
-    counts. A failed boundary or area check returns at once, without the
-    later checks.
+    Checks: real constant-sign boundary points, ``amoeba_area`` within
+    1e-7 relative of pi^2 d^2 / 2 (that area is a lower bound off the
+    Harnack family, so a pass is sound; no raster is built), 2-to-1
+    covering at 10 interior points of ``sample_interior`` (seeded by
+    ``seed``), and compact ovals at most Harnack's bound (d-1)(d-2)/2 and as
+    many as the holes, which come from the per-order Newton solves of
+    ``detect_holes`` without its pixel counts. A failed boundary or area
+    check returns at once, without the later checks.
     """
     checks: dict[str, bool] = {}
     details: dict[str, object] = {}
@@ -1081,18 +1122,11 @@ def verify_harnack(
         return HarnackCertificate(checks=checks, details=details)
 
     d = poly.d
-    pad, mult = _area_window_pad(bp)
-    window = auto_window(poly, pad=pad)
-    # hold the pixel size roughly constant as the window widens
-    res = min(1000, max(resolution, int(resolution * pad / 6.0)))
-    grid = rasterize_amoeba(poly, window=window, nx=res, ny=res)
-    est = amoeba_area(grid)
+    area = amoeba_area(poly)
     target = math.pi ** 2 * d ** 2 / 2.0
-    checks["area"] = abs(est.value - target) < 0.02 * target and not est.frame_warning
-    details["area"] = est.value
+    checks["area"] = abs(area - target) < 1e-7 * target
+    details["area"] = area
     details["area_target"] = target
-    details["boundary_multiplicity"] = mult
-    details["area_window_pad"] = pad
     if not checks["area"]:
         return HarnackCertificate(checks=checks, details=details)
 

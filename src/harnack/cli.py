@@ -150,14 +150,12 @@ def _cmd_amoeba(args) -> int:
     if args.svg is not None:
         report = detect_holes(poly, grid=grid)
         hio.write_svg(grid, report, args.svg)
-    est = amoeba_area(grid)
     payload = {
         "window": list(grid.window),
         "nx": grid.nx,
         "ny": grid.ny,
-        "area": est.value,
-        "area_error_bar": est.error_bar,
-        "frame_warning": est.frame_warning,
+        "area": amoeba_area(poly),
+        "frame_warning": not grid.frame_ok,
     }
     if report is not None:
         payload["genus"] = report.genus
@@ -204,7 +202,7 @@ def _cmd_holes(args) -> int:
 
 def _cmd_verify_harnack(args) -> int:
     poly = hio.poly_from_json(_load(args.poly))
-    cert = verify_harnack(poly, resolution=args.resolution, seed=_seed())
+    cert = verify_harnack(poly, seed=_seed())
     _output(hio.dumps_json(hio.certificate_to_json(cert)), None)
     return 0 if cert.passed else 1
 
@@ -276,7 +274,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--weights", required=True, help="weights JSON file")
     p.set_defaults(func=_cmd_boundary)
 
-    p = sub.add_parser("amoeba", help="raster the amoeba to a PGM image")
+    p = sub.add_parser("amoeba", help="raster the amoeba to a PGM image; print its exact area")
     p.add_argument("--poly", required=True, help="polynomial JSON file")
     p.add_argument("--grid", type=_positive(int), default=600, help="pixels per side (default 600)")
     p.add_argument("--window", default="auto", help="'auto' or x0,x1,y0,y1")
@@ -302,7 +300,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify-harnack", help="Harnack certificate; exit 0 iff all checks pass")
     p.add_argument("--poly", required=True, help="polynomial JSON file")
-    p.add_argument("--resolution", type=_positive(int), default=420, help="raster resolution")
     p.set_defaults(func=_cmd_verify_harnack)
 
     p = sub.add_parser("genus0-fit", help="recover angle data from a boundary triple")

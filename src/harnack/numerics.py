@@ -8,7 +8,8 @@ comes from ``polyroots_batch``, the batched companion eigenvalues. The
 integrator, ``integrate_panels``, runs many independent integrals in shared
 rounds and hands the integrand at most ``MAX_PANELS_PER_CALL`` = 64 panels
 (3,072 nodes) per call, which bounds the size of one root batch; each
-integral comes out to the same bits as when run alone.
+integral comes out to the same bits as when run alone, and stops, flagged,
+once its open panels would pass ``MAX_OPEN_PANELS``.
 ``integrate_periodic_kinked`` is its one-integral case for periodic
 integrands with known kink locations. ``illinois`` is the one
 bracket refiner: Illinois regula falsi on many sign-change brackets in
@@ -289,6 +290,7 @@ def integrate_periodic_kinked(
 
 
 MAX_PANELS_PER_CALL = 64  # panels (48 nodes each, 3,072 nodes) handed to f in one call
+MAX_OPEN_PANELS = 4096  # open panels of one integral in one round
 
 
 def integrate_panels(f, edges, tol: float) -> list[QuadratureResult]:
@@ -298,13 +300,16 @@ def integrate_panels(f, edges, tol: float) -> list[QuadratureResult]:
     points). In each round, integral k accepts a panel whose error estimate
     is below tol * max(1, |accepted| + |round sum|) / (its panel count) and
     bisects the rest; integrands analytic between edges converge in a couple
-    of rounds, and after 30 rounds the remaining panels are added and the
-    result is flagged unconverged. All open integrals share each round:
-    ``f(t, owner)`` receives the nodes of at most ``MAX_PANELS_PER_CALL``
-    panels and the index of the integral each node belongs to, and returns
-    one value per node. An integral's panel sums, budget and totals are
-    taken in the same order as when it runs alone, so for an f that treats
-    nodes independently each result is the same to the bit either way.
+    of rounds. After 30 rounds, or once the bisection would leave integral
+    k more than ``MAX_OPEN_PANELS`` open panels, its remaining panels are
+    added as they stand and its result is flagged unconverged, so a noisy
+    integrand costs about 2 * 48 * ``MAX_OPEN_PANELS`` nodes, not 2^30
+    panels. All open integrals share each round: ``f(t, owner)`` receives
+    the nodes of at most ``MAX_PANELS_PER_CALL`` panels and the index of
+    the integral each node belongs to, and returns one value per node. An
+    integral's panel sums, budget and totals are taken in the same order as
+    when it runs alone, so for an f that treats nodes independently each
+    result is the same to the bit either way.
     Returns one ``QuadratureResult`` per entry of ``edges``.
     """
     x16, w16 = _gl_nodes(16)
@@ -347,6 +352,13 @@ def integrate_panels(f, edges, tol: float) -> list[QuadratureResult]:
         accept = (errs < budget[owner] / counts[owner]) | (hi - lo < 1e-12)
         total += np.bincount(owner[accept], weights=vals[accept], minlength=m)
         split = ~accept
+        # an integral whose open panels would pass MAX_OPEN_PANELS stops, flagged
+        over = 2 * np.bincount(owner[split], minlength=m) > MAX_OPEN_PANELS
+        if over.any():
+            stop = split & over[owner]
+            total += np.bincount(owner[stop], weights=vals[stop], minlength=m)
+            converged[over] = False
+            split &= ~stop
         if not split.any():
             break
         # the two halves of each failing panel stay next to each other

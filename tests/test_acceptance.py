@@ -102,14 +102,11 @@ def test_c02_uniform_triple_multiplicity():
 # --- c03: amoeba area against pi^2 d^2 / 2 ----------------------------------
 
 
-@pytest.mark.parametrize("d,pad", [(1, 8.0), (2, 10.0)])
-def test_c03_amoeba_area(d, pad):
+@pytest.mark.parametrize("d", [1, 2])
+def test_c03_amoeba_area(d):
     poly = characteristic_polynomial(EdgeWeights.uniform(d))
-    grid = rasterize_amoeba(poly, window=auto_window(poly, pad=pad), nx=600, ny=600)
-    estimate = amoeba_area(grid)
     target = math.pi**2 * d**2 / 2.0
-    assert not estimate.frame_warning
-    assert abs(estimate.value - target) < 0.02 * target
+    assert abs(amoeba_area(poly) - target) < 1e-9 * target
 
 
 # --- c04: Monge-Ampere measure of the Ronkin function -----------------------

@@ -385,35 +385,51 @@ class TestRaster:
         # far from every tentacle the branches are monotone too
         assert rasterize_amoeba(poly, window=(20.0, 22.0, -22.0, -20.0), nx=16, ny=16).refined == 0
 
-    def test_interior_never_marks_the_frame(self):
-        # members on opposite frame edges are neighbours under a wrap-around
-        # erosion; no frame pixel may count as interior
-        mask = np.zeros((6, 8), dtype=bool)
-        mask[[0, 1, -2, -1], :] = True
-        mask[:, [0, -1]] = True
-        assert not amoeba_mod._interior(mask).any()
-        full = np.ones((5, 6), dtype=bool)
-        expected = np.zeros_like(full)
-        expected[1:-1, 1:-1] = True
-        assert np.array_equal(amoeba_mod._interior(full), expected)
-
     def test_window_must_have_extent(self, line_poly):
         with pytest.raises(ValueError, match="window must have positive extent"):
             rasterize_amoeba(line_poly, window=(1.0, 1.0, 0.0, 1.0), nx=16, ny=16)
 
     def test_line_area_smoke(self, line_poly):
         grid = rasterize_amoeba(line_poly, window=auto_window(line_poly, pad=8.0), nx=300, ny=300)
-        est = amoeba_area(grid)
-        target = math.pi**2 / 2.0
-        assert not est.frame_warning
-        assert abs(est.value - target) < 0.05 * target
-        assert est.error_bar > 0.0
+        assert grid.frame_ok
+        assert amoeba_area(line_poly) == pytest.approx(math.pi**2 / 2.0, rel=1e-9)
+
+    def test_default_window_clips_c07_model0(self):
+        # the pad-2 window cuts the body of this amoeba, and the frame check says so
+        poly = characteristic_polynomial(EdgeWeights.random(3, np.random.default_rng(2026)))
+        assert not rasterize_amoeba(poly, nx=120, ny=120).frame_ok
 
     def test_auto_window_grows_with_pad(self, line_poly):
         small = auto_window(line_poly, pad=1.0)
         large = auto_window(line_poly, pad=5.0)
         assert small[0] > large[0] and small[1] < large[1]
         assert small[2] > large[2] and small[3] < large[3]
+
+
+HARNACK_MODELS = {
+    "line": lambda: EdgeWeights.uniform(1),
+    "uniform2": lambda: EdgeWeights.uniform(2),
+    "uniform3": lambda: EdgeWeights.uniform(3),
+    "uniform4": lambda: EdgeWeights.uniform(4),
+    "rand3": lambda: EdgeWeights.random(3, np.random.default_rng(2026)),
+    "rand4": lambda: EdgeWeights.random(4, np.random.default_rng(1)),
+    # the cli benchmark's d = 2 model before its jitter
+    "cli-d2": lambda: EdgeWeights.random(2, np.random.default_rng(5)),
+}
+
+
+class TestExactArea:
+    @pytest.mark.parametrize("name", sorted(HARNACK_MODELS))
+    def test_harnack_curve_has_the_maximal_area(self, name):
+        # Mikhalkin-Rullgard: pi^2 d^2 / 2 exactly on Harnack curves; the
+        # uniform models have multiple boundary roots (a triple root at -1 for d = 3)
+        poly = characteristic_polynomial(HARNACK_MODELS[name]())
+        assert amoeba_area(poly) == pytest.approx(math.pi**2 * poly.d**2 / 2.0, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("factor", [0.90, 0.99, 0.999])
+    def test_squeezed_curve_reads_low(self, factor):
+        # off the Harnack family the real-end part is a strict subset of the amoeba
+        assert amoeba_area(perturbed_u3(factor)) < (1.0 - 1e-4) * 9.0 * math.pi**2 / 2.0
 
 
 class TestQuadratureConvergence:
@@ -425,6 +441,11 @@ class TestQuadratureConvergence:
         monkeypatch.setattr("harnack.amoeba.integrate_panels", self._stalled)
         with pytest.raises(RuntimeError, match="no convergence"):
             ronkin(line_poly, 0.0, 0.0)
+
+    def test_unconverged_area_raises(self, line_poly, monkeypatch):
+        monkeypatch.setattr("harnack.amoeba.integrate_panels", self._stalled)
+        with pytest.raises(RuntimeError, match="^no convergence: amoeba area over"):
+            amoeba_area(line_poly)
 
     def test_unconverged_column_integral_raises(self, u2_poly, monkeypatch):
         # the volume path runs all columns of a Simpson level in one batch;
@@ -805,6 +826,18 @@ class TestCertificate:
         cert = verify_harnack(perturbed_u3(0.90))
         assert not cert.passed
         assert not cert.checks["area"]
+
+    def test_slightly_squeezed_curve_fails_the_area_check(self):
+        # 1.9e-3 below pi^2 d^2 / 2, inside a pixel count's 2% but not the exact area's 1e-7
+        cert = verify_harnack(perturbed_u3(0.99))
+        assert not cert.passed
+        assert not cert.checks["area"]
+
+    def test_rand4_passes(self):
+        # four west roots within 0.68 log units of each other: a padded raster lost 3% of the area
+        cert = verify_harnack(characteristic_polynomial(EdgeWeights.random(4, np.random.default_rng(1))))
+        assert cert.passed
+        assert cert.details["genus"] == 3
 
 
 def _column_integral_reference(poly, x, y0, y1):

@@ -241,7 +241,7 @@ class TestVerifyHarnack:
         coeffs = base.coeffs.copy()
         coeffs[1, 1] *= 0.90
         pfile = write_poly(tmp_path / "p.json", BivariatePolynomial(3, coeffs))
-        code, out, _ = run(capsys, ["verify-harnack", "--poly", pfile, "--resolution", "200"])
+        code, out, _ = run(capsys, ["verify-harnack", "--poly", pfile])
         assert code == 1
         payload = json.loads(out)
         assert payload["passed"] is False
@@ -359,7 +359,7 @@ class TestErrorPaths:
             ["amoeba", "--grid", "0", "--out", "a.pgm"],
             ["holes", "--grid", "0"],
             ["holes", "--grid", "-3"],
-            ["verify-harnack", "--resolution", "0"],
+            ["amoeba", "--grid", "x", "--out", "a.pgm"],
             ["ma-check", "--points", "0"],
             ["ma-check", "--step", "0"],
             ["ma-check", "--step", "nan"],

@@ -97,7 +97,9 @@ class TestReports:
         assert data["passed"] is True
         assert list(data["checks"].keys()) == sorted(data["checks"].keys())
         assert list(data["details"].keys()) == sorted(data["details"].keys())
-        assert data["details"]["boundary_multiplicity"] == 1
+        assert list(data["details"]) == [
+            "area", "area_target", "candidate_nodes", "compact_ovals", "genus", "two_to_one_counts",
+        ]
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,7 @@ from harnack import EdgeWeights, characteristic_polynomial
 from harnack.amoeba import _crossings, _w_logmods
 from harnack.genus0 import _wrap_angles
 from harnack.numerics import (
+    MAX_OPEN_PANELS,
     MAX_PANELS_PER_CALL,
     ComplexPoly,
     QuadratureResult,
@@ -254,6 +255,16 @@ class TestBatchedQuadrature:
             alone = integrate_panels(lambda t, owner: f(t, np.full(t.size, k)), [edges[k]], 1e-11)[0]
             assert _same_bits(got, alone)
         assert [q.converged for q in batch] == [k != 7 for k in range(40)]
+
+    def test_noisy_integrand_stops_at_the_open_panel_cap(self):
+        # noise of 1e-6 never meets a 1e-9 budget, so every round would split
+        # every panel; the cap ends the doubling long before 30 rounds
+        rng = np.random.default_rng(3)
+        result = integrate_panels(lambda t, owner: 1.0 + 1e-6 * rng.standard_normal(t.size),
+                                  [np.array([0.0, 1.0])], 1e-9)[0]
+        assert not result.converged
+        assert result.n < 48 * 2 * MAX_OPEN_PANELS
+        assert abs(result.value - 1.0) < 1e-6
 
 
 class TestIllinois:
