@@ -9,9 +9,12 @@ needs no extra sign twist. The characteristic polynomial
     P(z, w) = det K(z, w) = sum_{i+j <= d} p_ij z^i w^j
 
 has Newton polygon contained in the triangle with vertices (0,0), (d,0),
-(0,d). Its coefficients are read off batched determinants: K is built for
-a whole batch of samples from one sparsity pattern (``assemble_K`` is the
-one-sample case), and ``np.linalg.det`` takes the batch in chunks.
+(0,d). Its coefficients are read off determinants over roots-of-unity
+grids. z and w enter K only on the 2d seam edges that cross the periods,
+so K(z, w) is a rank-2d update of K at a base phase pair: each torus
+factors that one d^2 x d^2 matrix (and K at one grid sample, as a guard),
+and each grid sample then costs one 2d x 2d determinant
+(``_seam_determinants``). ``assemble_K`` builds K at one sample.
 
 The magnetic field (x, y) of Kenyon, Okounkov and Sheffield ("Dimers and
 amoebae"), as in ``apply_magnetic_field``, scales every a-edge by e^{x/d}
@@ -24,8 +27,8 @@ coefficient is read on the sampled torus where its relative error bound is
 smallest; the tori are chosen by greedy cover (``characteristic_polynomial``).
 The weights of ``EdgeWeights`` are real, so K at the conjugate sample is the
 entrywise conjugate of K and det K at the grid point (-k, -l) is the
-conjugate of det K at (k, l): each torus factors only half its grid and
-mirrors the rest.
+conjugate of det K at (k, l): each torus takes seam determinants on only
+half its grid and mirrors the rest.
 """
 
 from __future__ import annotations
@@ -147,8 +150,13 @@ _SLACK = 10.0
 _NEWTON_STEPS = 40
 _STEP_LENGTHS = 4.0 ** np.arange(1, -5, -1)
 _MIN_GAIN = 1e-3
-# bytes of the matrices handed to one np.linalg.det call
-_CHUNK_BYTES = 256 * 1024
+# base phase pairs (z0, w0) of the seam factorization, tried in turn
+_BASES = np.exp(1j * np.array([[0.7123, 2.291], [2.0417, 0.4133], [4.3141, 5.5519]]))
+# the seam guard: a direct det K at one grid sample may differ from its
+# seam value by this many noise units per reading (at most 1.8 on every
+# torus of six random and six isoradial models per d = 3..16; 5e14 at a
+# base on the curve)
+_GUARD = 100.0
 # weight sets whose characteristic polynomial is kept: each call path
 # works on one weight set at a time (the checks that follow
 # characteristic_polynomial on the same weights, the d^2 vertex divisors of
@@ -157,10 +165,8 @@ _MEMO_SIZE = 1
 
 
 def _kasteleyn_batch(a, b, c, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """K(z_s, w_s) for every sample s, shape (len(z), d^2, d^2).
-
-    Each of ``a``, ``b`` and ``c`` is the (d, d) array of its weights or
-    holds one such array per sample."""
+    """K(z_s, w_s) for every sample s, shape (len(z), d^2, d^2), from the
+    (d, d) weights ``a``, ``b`` and ``c``."""
     d = c.shape[-1]
     n = d * d
     rows = np.arange(n)
@@ -179,6 +185,61 @@ def assemble_K(weights: EdgeWeights, z: complex, w: complex) -> np.ndarray:
                             np.array([z], dtype=complex), np.array([w], dtype=complex))[0]
 
 
+def _seam_determinants(B: np.ndarray, base, a, b, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """det K(z_s, w_s) for every sample s, from B = K(z0, w0) at the phase
+    pair ``base`` = (z0, w0) and the a- and b-weights ``a`` and ``b`` (d,
+    d) that K was built from.
+
+    z multiplies only the a-edges from white (i, d-1) to black (i, 0) and
+    w only the b-edges from white (d-1, j) to black (0, j), so K(z, w) = B
+    + U T V^T with T =
+    diag(z - z0 (d times), w - w0 (d times)), U the 2d seam weights in
+    their white rows and V selecting their black columns. With M = V^T
+    B^{-1} U (2d x 2d, one solve), det K(z, w) = det B det(I + T M) by the
+    matrix determinant lemma. A singular B raises LinAlgError."""
+    d = a.shape[0]
+    edge = np.arange(d)
+    U = np.zeros((d * d, 2 * d), dtype=complex)
+    U[np.concatenate([edge * d + d - 1, (d - 1) * d + edge]), np.arange(2 * d)] = \
+        np.concatenate([a[:, d - 1], b[d - 1]])
+    M = np.linalg.solve(B, U)[np.concatenate([edge * d, edge])]
+    t = np.repeat(np.stack([z - base[0], w - base[1]], axis=1), d, axis=1)
+    return np.linalg.det(B) * np.linalg.det(np.eye(2 * d) + t[:, :, None] * M)
+
+
+def _seam_readings(a, b, c, z, w, half, mate):
+    """Inverse DFT of det K over the (d+1)^2 roots-of-unity grid of one
+    torus with (d, d) weights ``a``, ``b`` and ``c``, from seam
+    determinants (``_seam_determinants``) at the samples (z, w) of the grid
+    points ``half``; their conjugates fill the points ``mate[half]``
+    (``_torus_readings``).
+
+    The guard: det K at sample (0, 0), factored directly, must agree with
+    its seam value to _GUARD noise units once spread over the n^2
+    readings, a noise unit being eps * sum |r_kl| over the triangle as in
+    ``_best_readings``. A base near the curve (det B small, M large) fails
+    it. A failed guard, a non-finite reading or a singular B moves to the
+    next pair of _BASES; when none passes, the torus raises RuntimeError
+    ("interpolation inconsistency")."""
+    d, n = c.shape[0], c.shape[0] + 1
+    inside = np.add.outer(np.arange(n), np.arange(n)) <= d
+    K = _kasteleyn_batch(a, b, c, np.append(1.0, _BASES[:, 0]), np.append(1.0, _BASES[:, 1]))
+    direct = np.linalg.det(K[0])
+    for base, B in zip(_BASES, K[1:]):
+        try:
+            dets = _seam_determinants(B, base, a, b, z, w)
+        except np.linalg.LinAlgError:
+            continue
+        grid = np.empty(n * n, dtype=complex)
+        grid[mate[half]] = dets.conj()
+        grid[half] = dets
+        readings = np.fft.fft2(grid.reshape(n, n)) / n ** 2
+        noise = _EPS * np.abs(readings[inside]).sum()
+        if np.isfinite(noise) and abs(direct - grid[0]) / n ** 2 <= _GUARD * noise:
+            return readings
+    raise RuntimeError("interpolation inconsistency: no base phase pair passes the seam guard")
+
+
 def _torus_readings(weights: EdgeWeights, fields: np.ndarray):
     """Inverse DFT of det K over the (d+1)^2 roots-of-unity grid of the
     torus of each magnetic field (x, y), one per row of ``fields``.
@@ -190,13 +251,14 @@ def _torus_readings(weights: EdgeWeights, fields: np.ndarray):
     [t, i, j] is then p_ij f^{di} g^{dj} 2^{-e d^2}. Returns the readings
     and, per reading, the mantissa m and exponent k with p_ij = reading /
     m * 2^k, from the rounded f and g the samples used (1 and 0 outside the
-    triangle, where the readings only feed the check). A torus whose
-    readings are not all finite reads nothing.
+    triangle, where the readings only feed the check). The tori are read
+    one at a time, each from seam determinants (``_seam_readings``).
 
     The weights are real, so only the grid points (k, l) that come first in
     row-major order among themselves and their mates ((-k) mod n, (-l) mod
-    n) are factored, (n^2 + s)/2 per torus with s = 1 self-conjugate point
-    for odd n and 4 for even n; each mate takes the conjugate determinant.
+    n) take a seam determinant, (n^2 + s)/2 per torus with s = 1
+    self-conjugate point for odd n and 4 for even n; each mate takes the
+    conjugate determinant.
     Residual imaginary parts or entries outside the Newton triangle above
     1e-9 of a torus's largest entry raise. With the grid conjugate-symmetric
     the imaginary parts are only the FFT's rounding, so it is the entries
@@ -212,20 +274,11 @@ def _torus_readings(weights: EdgeWeights, fields: np.ndarray):
     k, l = np.divmod(np.arange(n * n), n)
     mate = (-k) % n * n + (-l) % n
     half = np.flatnonzero(np.arange(n * n) <= mate)
-    torus = np.repeat(np.arange(len(fields)), half.size)
-    z = np.tile(unit[k[half]], len(fields))
-    w = np.tile(unit[l[half]], len(fields))
-    step = max(1, _CHUNK_BYTES // (16 * d ** 4))
-    dets = np.concatenate([
-        np.linalg.det(_kasteleyn_batch(a[torus[s:s + step]], b[torus[s:s + step]],
-                                       c[torus[s:s + step]], z[s:s + step], w[s:s + step]))
-        for s in range(0, len(z), step)]).reshape(len(fields), half.size)
-    grid = np.empty((len(fields), n * n), dtype=complex)
-    grid[:, mate[half]] = dets.conj()
-    grid[:, half] = dets
-    readings = np.fft.fft2(grid.reshape(len(fields), n, n)) / n ** 2
+    z, w = unit[k[half]], unit[l[half]]
+    readings = np.array([_seam_readings(a[t], b[t], c[t], z, w, half, mate)
+                         for t in range(len(fields))])
     ii, jj = np.indices((n, n))
-    for raw in readings[np.isfinite(readings).all(axis=(1, 2))]:
+    for raw in readings:
         top = np.max(np.abs(raw))
         outside = np.max(np.abs(raw[ii + jj > d]), initial=0.0)
         if top == 0.0 or max(np.max(np.abs(raw.imag)), outside) > 1e-9 * top:

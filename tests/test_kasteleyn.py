@@ -289,38 +289,71 @@ class TestBalancedTori:
     @pytest.mark.parametrize("d, count", [(1, 4), (2, 5), (3, 10), (6, 25)])
     def test_half_the_grid_is_factored(self, monkeypatch, d, count):
         # det K at (-k, -l) is the conjugate of det K at (k, l): a torus
-        # factors (n^2 + s)/2 matrices, n = d + 1 and s = 1 (n odd) or 4
-        # (n even) self-conjugate samples
-        factored = []
+        # takes (n^2 + s)/2 seam determinants in one batch, n = d + 1 and
+        # s = 1 (n odd) or 4 (n even) self-conjugate samples, besides the
+        # two single determinants of its base and its guard
+        batched, single = [], []
         det = np.linalg.det
 
         def counting(matrices):
-            factored.append(len(matrices))
+            (batched if matrices.ndim == 3 else single).append(len(matrices))
             return det(matrices)
 
         monkeypatch.setattr(np.linalg, "det", counting)
         kasteleyn._torus_readings(EdgeWeights.random(d, np.random.default_rng(70 + d)),
                                   np.array([[0.0, 0.0], [0.5, -0.3]]))
-        assert sum(factored) == 2 * count
+        assert batched == [count, count]
+        assert len(single) == 4
 
     @pytest.mark.parametrize("d", [3, 6])
     def test_one_bad_determinant_raises(self, monkeypatch, d):
-        # a determinant off by 1e-6 relative (and so its mirrored mate)
-        # spreads over every reading, outside the triangle too
+        # one seam determinant off by 1e-6 relative (and so its mirrored
+        # mate), away from the guard's sample (0, 0), spreads over every
+        # reading, outside the triangle too
         det = np.linalg.det
         calls = []
 
         def one_off(matrices):
             out = det(matrices)
-            if not calls:
+            if matrices.ndim == 3 and not calls:
                 out[1] *= 1.0 + 1e-6
-            calls.append(len(matrices))
+                calls.append(len(matrices))
             return out
 
         kasteleyn._memo_polynomial.cache_clear()
         monkeypatch.setattr(np.linalg, "det", one_off)
         with pytest.raises(RuntimeError, match="interpolation inconsistency"):
             characteristic_polynomial(EdgeWeights.random(d, np.random.default_rng(80 + d)))
+        assert calls
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_seam_determinant_matches_direct(self, d):
+        # det B det(I + T M) against the LU of the whole matrix, at random
+        # samples off every grid; at d = 1 the z- and w-edges share K[0, 0]
+        w = EdgeWeights.random(d, np.random.default_rng(90 + d))
+        rng = np.random.default_rng(d)
+        z = np.exp(rng.uniform(-0.5, 0.5, 8) + 1j * rng.uniform(0.0, 2.0 * np.pi, 8))
+        v = np.exp(rng.uniform(-0.5, 0.5, 8) + 1j * rng.uniform(0.0, 2.0 * np.pi, 8))
+        base = kasteleyn._BASES[0]
+        seam = kasteleyn._seam_determinants(assemble_K(w, *base), base, w.a, w.b, z, v)
+        direct = np.array([np.linalg.det(assemble_K(w, zs, vs)) for zs, vs in zip(z, v)])
+        assert_allclose(seam, direct, rtol=1e-12)
+
+    def test_base_on_the_curve_moves(self, monkeypatch):
+        # P = 1 + z + w vanishes at (e^{2 pi i/3}, e^{-2 pi i/3}): with that
+        # base first the guard rejects it and the next base gives the same
+        # P; with that base alone the torus raises
+        w = EdgeWeights.uniform(1)
+        kasteleyn._memo_polynomial.cache_clear()
+        clean = characteristic_polynomial(w).coeffs
+        on_curve = np.exp(2j * np.pi / 3 * np.array([[1.0, -1.0]]))
+        kasteleyn._memo_polynomial.cache_clear()
+        monkeypatch.setattr(kasteleyn, "_BASES", np.concatenate([on_curve, kasteleyn._BASES]))
+        assert np.array_equal(characteristic_polynomial(w).coeffs, clean)
+        kasteleyn._memo_polynomial.cache_clear()
+        monkeypatch.setattr(kasteleyn, "_BASES", on_curve)
+        with pytest.raises(RuntimeError, match="interpolation inconsistency"):
+            characteristic_polynomial(w)
 
     def test_weights_near_overflow(self):
         # det K of these weights overflows away from the unit torus; every
@@ -414,6 +447,17 @@ class TestZigZagComparison:
         comparison = verify_boundary_vs_zigzag(EdgeWeights.uniform(2))
         assert sorted(comparison.per_orientation) == ["at_inf", "on_w0", "on_z0"]
         assert comparison.max_rel_error < 1e-10
+
+    @pytest.mark.parametrize("kind", ["random", "isoradial"])
+    @pytest.mark.parametrize("d", range(3, MAX_DOMAIN + 1))
+    def test_rand_and_iso_models_up_to_the_largest_domain(self, kind, d):
+        # criterion c02 on rand-d and iso-d (the random weights of
+        # default_rng(1000 d) and the isoradial angles of the same seed)
+        if kind == "random":
+            w = EdgeWeights.random(d, np.random.default_rng(1000 * d))
+        else:
+            w = isoradial_weights(IsoradialAngles.random(d, np.random.default_rng(1000 * d)))
+        assert verify_boundary_vs_zigzag(w).passed()
 
 
 class TestLargestDomain:
